@@ -9,10 +9,6 @@ learner), oracles (brute-force references), cli (experiments).
 
 __version__ = "0.1.0"
 
-from . import dimensions as _dimensions
-from . import filtering as _filtering
-from . import irreducibility as _irreducibility
-from . import tree_learner as _tree_learner
 from .classes import (DiscreteClass, Domain, DomainError, EmpiricalDistribution,
                       RealClass, abs_error, discretize_class, discretize_dataset,
                       discretize_value, label_count, min_error, sup_distance,
@@ -37,10 +33,3 @@ from .tree_learner import (ReduceTreeError, ReduceTreeOutput, ReduceTreeParams,
                            level_class, reduce_tree_reg)
 from .trees import KTree, TreeError
 
-
-def clear_caches() -> None:
-    """Drop every module-level memoization cache."""
-    _dimensions.clear_caches()
-    _irreducibility.clear_caches()
-    _tree_learner.clear_caches()
-    _filtering.clear_caches()

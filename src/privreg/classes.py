@@ -2,15 +2,19 @@
 
 Hypotheses are stored as value vectors aligned with the domain's point order.
 Classes are kept in a canonical form (sorted, deduplicated vectors) so that
-extensional equality is plain equality and canonical keys can drive memoization
-in the dimension and irreducibility machinery.
+extensional equality is plain equality.
+
+Each class carries a memo dict that its restrictions share, so results
+computed on a class and its subclasses are kept on the root and freed with
+it.  Every subclass in one memo has the same domain and K, so entries are
+keyed by (tag, hyps, *args).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 
 class DomainError(ValueError):
@@ -44,12 +48,24 @@ def _canonical(hypotheses: Iterable[Sequence]) -> tuple:
     return tuple(sorted(set(tuple(h) for h in hypotheses)))
 
 
+_MISSING = object()
+
+
+def memoized(memo: dict, key: tuple, compute: Callable, *args):
+    """memo[key], filled by compute(*args) on a miss."""
+    value = memo.get(key, _MISSING)
+    if value is _MISSING:
+        value = memo[key] = compute(*args)
+    return value
+
+
 @dataclass(frozen=True)
 class RealClass:
     """Hypotheses mapping the domain into [-1, 1]."""
 
     domain: Domain
     hyps: tuple = field(default=())
+    memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         canon = _canonical(self.hyps)
@@ -72,6 +88,7 @@ class DiscreteClass:
     domain: Domain
     K: int
     hyps: tuple = field(default=())
+    memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         if self.K < 1:
@@ -92,12 +109,9 @@ class DiscreteClass:
     def is_empty(self) -> bool:
         return not self.hyps
 
-    def key(self) -> tuple:
-        """Canonical memoization key (extensional identity)."""
-        return (self.domain.points, self.K, self.hyps)
-
     def with_hyps(self, hyps: Iterable[Sequence]) -> "DiscreteClass":
-        return DiscreteClass(self.domain, self.K, tuple(hyps))
+        """Subclass with these hypotheses, sharing this class's memo."""
+        return DiscreteClass(self.domain, self.K, tuple(hyps), self.memo)
 
     def restrict(self, constraints) -> "DiscreteClass":
         """Subclass agreeing with every (point_index, label) constraint.
@@ -110,8 +124,7 @@ class DiscreteClass:
                 raise DomainError(f"point index {i} outside domain")
             if not (1 <= k <= self.K):
                 raise DomainError(f"label {k} outside 1..{self.K}")
-        hyps = [h for h in self.hyps if all(h[i] == k for i, k in cons)]
-        return DiscreteClass(self.domain, self.K, tuple(hyps))
+        return self.with_hyps([h for h in self.hyps if all(h[i] == k for i, k in cons)])
 
 
 def canonical_restriction(constraints) -> tuple:
@@ -159,9 +172,10 @@ def discretize_value(y: float, eta: float) -> int:
 
 
 def discretize_class(H: RealClass, eta: float) -> DiscreteClass:
-    K = label_count(eta)
-    hyps = tuple(tuple(discretize_value(v, eta) for v in h) for h in H.hyps)
-    return DiscreteClass(H.domain, K, hyps)
+    """The discretized class, memoized on H so repeated calls share its memo."""
+    return memoized(H.memo, ("discretize_class", H.hyps, eta), lambda: DiscreteClass(
+        H.domain, label_count(eta),
+        tuple(tuple(discretize_value(v, eta) for v in h) for h in H.hyps)))
 
 
 def discretize_dataset(samples: Sequence, eta: float) -> list:

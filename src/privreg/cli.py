@@ -17,11 +17,9 @@ import time
 import warnings
 
 from . import __version__
-from .classes import (DiscreteClass, Domain, DomainError, EmpiricalDistribution,
-                      RealClass, discretize_dataset)
+from .classes import DiscreteClass, Domain, DomainError, EmpiricalDistribution, RealClass
 from .dimensions import fat_alpha, sfat2, sfat_alpha
-from .dp import (BOTTOM, AuditReport, PrivacyParams, SelectionInstance, dp_audit,
-                 rng_stream, sparse_select)
+from .dp import BOTTOM, PrivacyParams, SelectionInstance, dp_audit, sparse_select
 from .filtering import LadderSchedule, filter_step, soa_filter
 from .irreducibility import INFINITE, irreducibility_level, is_l_irreducible, soa
 from .oracles import oracle_agreement_grid
@@ -146,7 +144,7 @@ def _as_discrete(cls) -> DiscreteClass:
     raise DomainError("this command requires a discrete class (integer labels)")
 
 
-def _schedule_from(cfg: dict, where: str) -> LadderSchedule:
+def _schedule_from(cfg: dict) -> LadderSchedule:
     return LadderSchedule(int(cfg["ell_bar"]), int(cfg["r_max"]),
                           int(cfg["tau_max"]), int(cfg.get("chi", 5)))
 
@@ -200,7 +198,7 @@ def _cmd_filter(cfg: dict, seed):
     _require_keys(cfg, {"class", "ell_bar", "r_max", "tau_max", "chi"},
                   {"class", "ell_bar", "r_max", "tau_max"}, "config")
     F = _as_discrete(load_class_file(cfg["class"]))
-    filtered = filter_step(F, _schedule_from(cfg, "config"), int(cfg["r_max"]))
+    filtered = filter_step(F, _schedule_from(cfg), int(cfg["r_max"]))
     return {"levels": {str(b): [list(map(list, L.hyps)) for L in classes]
                        for b, classes in sorted(filtered.levels.items())}}
 
@@ -213,7 +211,7 @@ def _cmd_soafilter(cfg: dict, seed):
     if (not isinstance(g_hat, list) or len(g_hat) != F.domain.size
             or not all(isinstance(v, int) and 1 <= v <= F.K for v in g_hat)):
         raise SchemaError(f"config: 'g_hat' must be {F.domain.size} labels in [1..{F.K}]")
-    rep = soa_filter(F, tuple(g_hat), _schedule_from(cfg, "config"))
+    rep = soa_filter(F, tuple(g_hat), _schedule_from(cfg))
     return {"members": [list(map(list, L.hyps)) for L in rep.members]}
 
 

@@ -14,13 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .classes import DiscreteClass, DomainError, RealClass
-
-_SFAT2_CACHE: dict = {}
-
-
-def clear_caches() -> None:
-    _SFAT2_CACHE.clear()
+from .classes import DiscreteClass, DomainError, RealClass, memoized
 
 
 def _split(hyps: tuple, i: int, lo: float, hi: float) -> tuple:
@@ -32,23 +26,17 @@ def _split(hyps: tuple, i: int, lo: float, hi: float) -> tuple:
 
 def sfat2(F: DiscreteClass) -> int:
     """Sequential fat-shattering dimension at scale 2; -1 for the empty class."""
-    key = F.key()
-    cached = _SFAT2_CACHE.get(key)
-    if cached is not None:
-        return cached
-    result = _sfat2_rec(F.hyps, F.domain.size, F.K, F.key())
-    return result
+    return _sfat2_rec(F.hyps, F.domain.size, F.K, F.memo)
 
 
-def _sfat2_rec(hyps: tuple, npoints: int, K: int, key: tuple) -> int:
-    cached = _SFAT2_CACHE.get(key)
-    if cached is not None:
-        return cached
+def _sfat2_rec(hyps: tuple, npoints: int, K: int, memo: dict) -> int:
+    return memoized(memo, ("sfat2", hyps), _sfat2_best_split, hyps, npoints, K, memo)
+
+
+def _sfat2_best_split(hyps: tuple, npoints: int, K: int, memo: dict) -> int:
     if not hyps:
-        _SFAT2_CACHE[key] = -1
         return -1
     best = 0
-    domain_points, _, _ = key
     for i in range(npoints):
         values = sorted({h[i] for h in hyps})
         if len(values) < 2:
@@ -57,12 +45,10 @@ def _sfat2_rec(hyps: tuple, npoints: int, K: int, key: tuple) -> int:
             up, down = _split(hyps, i, s - 1, s + 1)
             if not up or not down:
                 continue
-            a = _sfat2_rec(up, npoints, K, (domain_points, K, up))
-            b = _sfat2_rec(down, npoints, K, (domain_points, K, down))
-            cand = 1 + min(a, b)
+            cand = 1 + min(_sfat2_rec(up, npoints, K, memo),
+                           _sfat2_rec(down, npoints, K, memo))
             if cand > best:
                 best = cand
-    _SFAT2_CACHE[key] = best
     return best
 
 
@@ -100,10 +86,8 @@ def extract_sfat_certificate(F: DiscreteClass) -> CertNode:
                 up, down = _split(hyps, i, s - 1, s + 1)
                 if not up or not down:
                     continue
-                ka = (F.domain.points, F.K, up)
-                kb = (F.domain.points, F.K, down)
-                if min(_sfat2_rec(up, F.domain.size, F.K, ka),
-                       _sfat2_rec(down, F.domain.size, F.K, kb)) >= depth - 1:
+                if min(_sfat2_rec(up, F.domain.size, F.K, F.memo),
+                       _sfat2_rec(down, F.domain.size, F.K, F.memo)) >= depth - 1:
                     return CertNode(i, float(s), build(up, depth - 1), build(down, depth - 1))
         raise AssertionError("recursion promised a shattering split")
 

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 
 from .classes import (DiscreteClass, DomainError, canonical_restriction,
-                      enumerate_restriction_subclasses, sup_distance)
+                      enumerate_restriction_subclasses, memoized, sup_distance)
 from .dimensions import sfat2
 from .irreducibility import build_reducing_tree, is_l_irreducible, soa, soa_partial
 
@@ -42,9 +42,6 @@ class LadderSchedule:
     def ell(self, r: int, t: int) -> int:
         return self.ell_bar * (r + 2) ** t
 
-    def key(self) -> tuple:
-        return (self.ell_bar, self.r_max, self.tau_max, self.chi)
-
 
 @dataclass
 class FilteredSets:
@@ -60,23 +57,8 @@ class RepSet:
     members: tuple        # classes, canonical order
 
 
-_SUBCLASS_CACHE: dict = {}
-_FILTER_CACHE: dict = {}
-_SOAFILTER_CACHE: dict = {}
-
-
-def clear_caches() -> None:
-    _SUBCLASS_CACHE.clear()
-    _FILTER_CACHE.clear()
-    _SOAFILTER_CACHE.clear()
-
-
 def _subclasses(F: DiscreteClass) -> list:
-    got = _SUBCLASS_CACHE.get(F.key())
-    if got is None:
-        got = enumerate_restriction_subclasses(F)
-        _SUBCLASS_CACHE[F.key()] = got
-    return got
+    return memoized(F.memo, ("subclasses", F.hyps), enumerate_restriction_subclasses, F)
 
 
 def irreducible_subclasses(F: DiscreteClass, l: int, b: int) -> list:
@@ -99,14 +81,16 @@ def _agreement_restriction(F: DiscreteClass, L: DiscreteClass, H: DiscreteClass,
     return None
 
 
-def filter_step(F: DiscreteClass, schedule, r_max: int) -> FilteredSets:
-    cache_key = (F.key(), getattr(schedule, "key", lambda: id(schedule))(), r_max)
-    cached = _FILTER_CACHE.get(cache_key)
-    if cached is not None:
-        return cached
+def filter_step(F: DiscreteClass, schedule: LadderSchedule, r_max: int) -> FilteredSets:
     d = sfat2(F)
     if d < 0:
         raise DomainError("filter_step requires a nonempty class")
+    return memoized(F.memo, ("filter_step", F.hyps, schedule, r_max),
+                    _filter_step, F, schedule, r_max, d)
+
+
+def _filter_step(F: DiscreteClass, schedule: LadderSchedule, r_max: int,
+                 d: int) -> FilteredSets:
     levels = {b: [] for b in range(d + 1)}
     rep: dict = {}
     for t in range(d + 1):
@@ -129,23 +113,26 @@ def filter_step(F: DiscreteClass, schedule, r_max: int) -> FilteredSets:
                 else:
                     levels[b].append(H)
                     rep[H.hyps] = H
-    out = FilteredSets({b: tuple(v) for b, v in levels.items()}, rep)
-    _FILTER_CACHE[cache_key] = out
-    return out
+    return FilteredSets({b: tuple(v) for b, v in levels.items()}, rep)
 
 
-def soa_filter(F: DiscreteClass, g_hat: tuple, schedule, trace=None) -> RepSet:
+def soa_filter(F: DiscreteClass, g_hat: tuple, schedule: LadderSchedule,
+               trace=None) -> RepSet:
     """trace, if given, is a list that receives (j, s, a) for every restriction
-    set queued at stage s of pass j; tracing bypasses the result cache."""
+    set queued at stage s of pass j; tracing bypasses the memo."""
     d = sfat2(F)
     if d < 0:
         raise DomainError("soa_filter requires a nonempty class")
     if schedule.r_max % (d + 1) != 0 or schedule.tau_max % (d + 1) != 0:
         raise DomainError("r_max and tau_max must be multiples of d+1")
-    cache_key = (F.key(), schedule.key(), tuple(g_hat))
-    cached = _SOAFILTER_CACHE.get(cache_key)
-    if cached is not None and trace is None:
-        return cached
+    if trace is not None:
+        return _soa_filter(F, g_hat, schedule, d, trace)
+    return memoized(F.memo, ("soa_filter", F.hyps, schedule, tuple(g_hat)),
+                    _soa_filter, F, g_hat, schedule, d, None)
+
+
+def _soa_filter(F: DiscreteClass, g_hat: tuple, schedule: LadderSchedule, d: int,
+                trace) -> RepSet:
     r0 = schedule.r_max // (d + 1)
     tau0 = schedule.tau_max // (d + 1)
     filtered = filter_step(F, schedule, schedule.r_max)
@@ -191,6 +178,4 @@ def soa_filter(F: DiscreteClass, g_hat: tuple, schedule, trace=None) -> RepSet:
             queue = list(next_queue)
     members = [L for L in result.values()
                if sup_distance(soa(L), g_hat) <= schedule.tau_max]
-    out = RepSet(tuple(sorted(members, key=lambda G: (-len(G.hyps), G.hyps))))
-    _SOAFILTER_CACHE[cache_key] = out
-    return out
+    return RepSet(tuple(sorted(members, key=lambda G: (-len(G.hyps), G.hyps))))

@@ -11,21 +11,11 @@ from __future__ import annotations
 
 import math
 
-from .classes import DiscreteClass, DomainError
+from .classes import DiscreteClass, DomainError, memoized
 from .dimensions import sfat2
 from .trees import KTree, TreeError, augmented_root, full_node, validate_kary
 
 INFINITE = math.inf
-
-_IRRED_CACHE: dict = {}
-_SOA_CACHE: dict = {}
-_SOA_TOTAL_CACHE: dict = {}
-
-
-def clear_caches() -> None:
-    _IRRED_CACHE.clear()
-    _SOA_CACHE.clear()
-    _SOA_TOTAL_CACHE.clear()
 
 
 def is_l_irreducible(F: DiscreteClass, l: int) -> bool:
@@ -39,23 +29,23 @@ def is_l_irreducible(F: DiscreteClass, l: int) -> bool:
         # restriction of a nonempty sfat2=0 class along its own values stays
         # nonempty, so some leaf always keeps sfat2 = 0.
         return True
-    key = (F.key(), l)
-    cached = _IRRED_CACHE.get(key)
-    if cached is not None:
-        return cached
-    result = True
+    # Past the constant points skipped below, every step strictly shrinks
+    # the class, so levels beyond |F| all give the same answer.
+    l = min(l, len(F.hyps))
+    return memoized(F.memo, ("is_l_irreducible", F.hyps, l), _every_point_preserves, F, l, d)
+
+
+def _every_point_preserves(F: DiscreteClass, l: int, d: int) -> bool:
     for i in range(F.domain.size):
-        found = False
-        for k in range(1, F.K + 1):
-            sub = F.restrict([(i, k)])
-            if not sub.is_empty and sfat2(sub) == d and is_l_irreducible(sub, l - 1):
-                found = True
-                break
-        if not found:
-            result = False
-            break
-    _IRRED_CACHE[key] = result
-    return result
+        labels = sorted({h[i] for h in F.hyps})
+        # At a constant point the condition reads "F is (l-1)-irreducible",
+        # which, the property being monotone in l, the other points imply.
+        if len(labels) == 1:
+            continue
+        if not any(sfat2(sub := F.restrict([(i, k)])) == d and is_l_irreducible(sub, l - 1)
+                   for k in labels):
+            return False
+    return True
 
 
 def irreducibility_level(F: DiscreteClass, cap: "int | None" = None):
@@ -83,48 +73,33 @@ def irreducibility_level(F: DiscreteClass, cap: "int | None" = None):
 def soa(G: DiscreteClass) -> tuple:
     """Standard optimal labeling of a nonempty 1-irreducible class.
 
-    At each point, the label whose restriction preserves sfat2; of two adjacent
-    candidates the one with the higher irreducibility level wins, then the
-    smaller label.
+    A class is 1-irreducible exactly when some label preserves sfat2 at every
+    point, that is, when soa_partial is total on it.
     """
     if G.is_empty:
         raise DomainError("soa requires a nonempty class")
-    cached = _SOA_CACHE.get(G.key())
-    if cached is not None:
-        return cached
-    if not is_l_irreducible(G, 1):
+    labels = soa_partial(G)
+    if None in labels:
         raise DomainError("soa requires a 1-irreducible class")
-    d = sfat2(G)
-    out = []
-    for i in range(G.domain.size):
-        maximizers = [k for k in range(1, G.K + 1)
-                      if not (sub := G.restrict([(i, k)])).is_empty and sfat2(sub) == d]
-        if len(maximizers) == 1:
-            out.append(maximizers[0])
-        else:
-            k1, k2 = maximizers[0], maximizers[1]
-            lv1 = irreducibility_level(G.restrict([(i, k1)]))
-            lv2 = irreducibility_level(G.restrict([(i, k2)]))
-            out.append(k2 if lv2 > lv1 else k1)
-    result = tuple(out)
-    _SOA_CACHE[G.key()] = result
-    return result
+    return labels
 
 
 def soa_partial(G: DiscreteClass) -> tuple:
     """Per-point labeling defined on every nonempty class, with None at points
     where no label preserves sfat2.
 
-    Where defined it follows the same rule as soa (preserving label, ties by
-    irreducibility level then smaller label); on 1-irreducible classes it is
-    total and equals soa.  A None entry means the labeling is undefined there,
+    Where defined it is the label whose restriction preserves sfat2.  At most
+    two labels can (a third would give a split of depth sfat2+1), and two are
+    adjacent; of two, the one with the higher irreducibility level wins, then
+    the smaller label.  A None entry means the labeling is undefined there,
     which consumers treat as infinitely far from any target label.
     """
     if G.is_empty:
         raise DomainError("labeling requires a nonempty class")
-    cached = _SOA_TOTAL_CACHE.get(G.key())
-    if cached is not None:
-        return cached
+    return memoized(G.memo, ("soa_partial", G.hyps), _preserving_labels, G)
+
+
+def _preserving_labels(G: DiscreteClass) -> tuple:
     d = sfat2(G)
     out = []
     for i in range(G.domain.size):
@@ -138,9 +113,7 @@ def soa_partial(G: DiscreteClass) -> tuple:
             best = max(maximizers,
                        key=lambda k: (irreducibility_level(G.restrict([(i, k)])), -k))
             out.append(best)
-    result = tuple(out)
-    _SOA_TOTAL_CACHE[G.key()] = result
-    return result
+    return tuple(out)
 
 
 def reduction_witness_tree(F: DiscreteClass, l: int) -> "KTree | None":

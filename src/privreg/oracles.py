@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .classes import DiscreteClass, DomainError, EmpiricalDistribution, sup_distance
 from .dimensions import sfat2
-from .filtering import filter_step, soa_filter
+from .filtering import filter_step
 from .irreducibility import is_l_irreducible, soa
 from .tree_learner import level_class
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .classes import (DiscreteClass, DomainError, EmpiricalDistribution, RealClass,
                       abs_error, discretize_class, discretize_dataset, label_count,

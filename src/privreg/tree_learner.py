@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .classes import DiscreteClass, DomainError, EmpiricalDistribution, abs_error
+from .classes import (DiscreteClass, DomainError, EmpiricalDistribution, abs_error,
+                      memoized)
 from .dimensions import sfat2
 from .irreducibility import is_l_irreducible, reduction_witness_tree, soa
 from .trees import KTree
@@ -60,13 +61,6 @@ def level_class(F: DiscreteClass, P: EmpiricalDistribution, alpha: float) -> Dis
     return F.with_hyps(f for f in F.hyps if abs_error(f, P) <= alpha + _ERR_SLACK)
 
 
-_RTR_CACHE: dict = {}
-
-
-def clear_caches() -> None:
-    _RTR_CACHE.clear()
-
-
 def reduce_tree_reg(F: DiscreteClass, P_hat: EmpiricalDistribution,
                     params: ReduceTreeParams) -> ReduceTreeOutput:
     if F.is_empty:
@@ -78,11 +72,12 @@ def reduce_tree_reg(F: DiscreteClass, P_hat: EmpiricalDistribution,
     out_levels = tuple(
         level_class(F, P_hat, params.alpha(t) - 2 * params.alpha_delta / 3).hyps
         for t in range(1, d + 2))
-    cache_key = (F.key(), params.ell_prime, levels, out_levels)
-    cached = _RTR_CACHE.get(cache_key)
-    if cached is not None:
-        return cached
+    return memoized(F.memo, ("reduce_tree_reg", F.hyps, params.ell_prime, levels, out_levels),
+                    _reduce_tree, F, P_hat, params, d)
 
+
+def _reduce_tree(F: DiscreteClass, P_hat: EmpiricalDistribution, params: ReduceTreeParams,
+                 d: int) -> ReduceTreeOutput:
     def G(alpha: float, path: tuple) -> DiscreteClass:
         return level_class(F, P_hat, alpha).restrict(
             tree.ancestor_set(path))
@@ -127,9 +122,7 @@ def reduce_tree_reg(F: DiscreteClass, P_hat: EmpiricalDistribution,
         cls = G(alpha_out - 2 * params.alpha_delta / 3, p)
         if not cls.is_empty and is_l_irreducible(cls, params.ell_prime):
             candidates.append(soa(cls))
-    out = ReduceTreeOutput(tuple(sorted(set(candidates))), tree, front, t_final, params)
-    _RTR_CACHE[cache_key] = out
-    return out
+    return ReduceTreeOutput(tuple(sorted(set(candidates))), tree, front, t_final, params)
 
 
 def output_tree_depth(out: ReduceTreeOutput) -> int:

@@ -1,14 +1,17 @@
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from privreg import (DiscreteClass, Domain, DomainError, EmpiricalDistribution,
-                     RealClass, abs_error, discretize_class, discretize_dataset,
-                     discretize_value, label_count, min_error, sup_distance,
-                     undisc_hypothesis)
+                     LadderSchedule, RealClass, ReduceTreeParams, abs_error,
+                     discretize_class, discretize_dataset, discretize_value,
+                     filter_step, label_count, min_error, reduce_tree_reg, sfat2,
+                     soa_filter, sup_distance, undisc_hypothesis)
 from privreg.classes import canonical_restriction, enumerate_restriction_subclasses
 
 from helpers import F_TOY, X1, X2, dclass, make_domain
@@ -89,6 +92,27 @@ def test_class_canonicalization():
         dclass([(0, 1)])
     with pytest.raises(DomainError):
         dclass([(1,)])
+
+
+def test_memo_lives_on_the_class():
+    F = dclass([(1, 3), (2, 1), (3, 4), (4, 1), (2, 4)])
+    schedule = LadderSchedule(1, 3, 36, 5)
+    filter_step(F, schedule, schedule.r_max)
+    soa_filter(F, (2, 3), schedule)
+    reduce_tree_reg(F, EmpiricalDistribution.from_samples([(0, 2), (1, 3)]),
+                    ReduceTreeParams(60.0, 18.0, 6))
+    assert F.restrict([(0, 2)]).memo is F.memo
+    ref = weakref.ref(F)
+    del F
+    gc.collect()
+    assert ref() is None
+
+    G1, G2 = dclass([(1, 3), (2, 1)]), dclass([(2, 1), (1, 3)])
+    sfat2(G1)
+    assert G1 == G2 and hash(G1) == hash(G2) and G1.memo is not G2.memo
+    H = RealClass(X2, ((-0.75, 0.25), (0.25, -0.75)))
+    assert discretize_class(H, 0.5) is discretize_class(H, 0.5)
+    assert discretize_class(H, 0.25) is not discretize_class(H, 0.5)
 
 
 def test_empirical_distribution():

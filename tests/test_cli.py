@@ -6,7 +6,7 @@ import pytest
 from privreg.cli import (EXIT_BOTTOM, EXIT_OK, EXIT_PRECONDITION,
                          EXIT_REDUCE_TREE_ERROR, EXIT_SCHEMA, main)
 
-from helpers import F_TOY, H_DESK
+from helpers import F_TOY, H_DESK, dclass
 
 
 def _write(path, obj):
@@ -87,6 +87,19 @@ def test_reduce_tree_error_exit_code(tmp_path):
     assert main(["reduce-tree", "--config", cfg]) == EXIT_REDUCE_TREE_ERROR
 
 
+def test_irred_large_level_on_constant_point_class(tmp_path):
+    # x1 is constant: restricting there gives F back, so l must not set the
+    # depth of the level recursion.
+    F = dclass([(5, 1, 1, 6, 3), (5, 2, 5, 2, 2), (5, 3, 5, 4, 5), (5, 5, 3, 2, 2),
+                (5, 5, 4, 2, 2), (5, 5, 6, 6, 3), (5, 6, 1, 5, 1), (5, 6, 2, 2, 2),
+                (5, 6, 5, 6, 6)], K=6, nx=5)
+    cfg = _write(tmp_path / "cfg.json",
+                 {"class": _discrete_class_file(tmp_path, F), "l": 2401})
+    code, report = _run(tmp_path, ["irred", "--config", cfg])
+    assert code == EXIT_OK
+    assert report["body"]["outputs"] == {"l": 2401, "irreducible": False, "level": 0}
+
+
 def test_reglearn_bottom_exit_code(tmp_path):
     # Discretizes to a product-structure class where selection cannot reach
     # consensus, so the run ends in BOTTOM.
@@ -151,7 +164,6 @@ def test_audit_smoke(tmp_path):
 
 
 def test_stdout_when_no_out_flag(tmp_path, capsys):
-    from helpers import dclass
     low = dclass([(1, 1), (1, 2), (2, 1), (2, 2)])
     cfg = _write(tmp_path / "cfg.json",
                  {"class": _discrete_class_file(tmp_path, low)})

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -6,6 +7,7 @@ from privreg import (INFINITE, build_reducing_tree, irreducibility_level,
                      is_l_irreducible, reduction_witness_tree, sfat2, soa,
                      soa_partial, validate_reducing_tree, validate_witness_tree)
 from privreg.classes import DomainError
+from privreg.oracles import irreducible_bruteforce
 from privreg.trees import TreeError
 
 from helpers import F_TOY, class_stream, dclass
@@ -26,6 +28,29 @@ def test_irreducibility_monotone_in_level():
         for l in range(1, 4):
             if not is_l_irreducible(F, l):
                 assert not is_l_irreducible(F, l + 1)
+
+
+def test_irreducibility_matches_bruteforce_with_constant_point():
+    rng = random.Random(31)
+    seen = set()
+    for _ in range(60):
+        nx, K = rng.choice([(2, 4), (3, 3), (3, 4)])
+        c = rng.randint(1, K)
+        hyps = {(c,) + tuple(rng.randint(1, K) for _ in range(nx - 1))
+                for _ in range(rng.randint(1, 10))}
+        F = dclass(hyps, K=K, nx=nx)
+        for l in (1, 2):
+            expected = irreducible_bruteforce(F, l)
+            assert is_l_irreducible(F, l) == expected, (F.hyps, l)
+            seen.add((sfat2(F) > 0, expected))
+    assert seen == {(True, True), (True, False), (False, True)}
+
+
+def test_is_l_irreducible_large_level_with_constant_point():
+    F = dclass([(2, 1, 1), (2, 1, 3), (2, 3, 1), (2, 3, 3)], nx=3)
+    assert not is_l_irreducible(F, 1)
+    assert not is_l_irreducible(F, 10 ** 4)
+    assert irreducibility_level(F) == 0
 
 
 def test_irreducibility_level():
@@ -68,6 +93,7 @@ def test_soa_partial():
     # No single label at either point preserves sfat2 = 2.
     assert soa_partial(F_TOY) == (None, None)
     for F in itertools.islice(class_stream(17), 40):
+        assert (None not in soa_partial(F)) == is_l_irreducible(F, 1)
         if is_l_irreducible(F, 1):
             assert soa_partial(F) == soa(F)
     with pytest.raises(DomainError):
