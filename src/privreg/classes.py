@@ -127,6 +127,12 @@ class DiscreteClass:
         return self.with_hyps([h for h in self.hyps if all(h[i] == k for i, k in cons)])
 
 
+def class_order(G: DiscreteClass) -> tuple:
+    """Sort key of the canonical class order: larger classes first, then by
+    hypothesis list."""
+    return (-len(G.hyps), G.hyps)
+
+
 def canonical_restriction(constraints) -> tuple:
     """Canonical form of a restriction set: sorted (point_index, label) pairs."""
     return tuple(sorted(set((int(i), int(k)) for i, k in constraints)))
@@ -166,9 +172,10 @@ def discretize_value(y: float, eta: float) -> int:
     K = label_count(eta)
     if not (-1.0 <= y <= 1.0):
         raise DomainError(f"value {y} outside [-1,1]")
-    if y == 1.0:
-        return K
-    return 1 + math.floor((y + 1.0) / 2.0 * K)
+    k = 1 + math.floor((y + 1.0) / 2.0 * K)
+    # y = 1, and values just below 1 whose y + 1.0 rounds to 2.0, land one
+    # past the top bucket.
+    return K if k > K else k
 
 
 def discretize_class(H: RealClass, eta: float) -> DiscreteClass:
@@ -191,9 +198,10 @@ def discretize_dataset(samples: Sequence, eta: float) -> list:
 
 def abs_error(f: Sequence, P: EmpiricalDistribution) -> float:
     """err_P(f) = sum of weight * |f(x) - y| over the atoms of P."""
+    n = len(f)
     total = 0.0
     for i, y, w in P.atoms:
-        if not (0 <= i < len(f)):
+        if not (0 <= i < n):
             raise DomainError(f"atom point index {i} outside hypothesis arity")
         total += w * abs(f[i] - y)
     return total
@@ -226,7 +234,7 @@ def enumerate_restriction_subclasses(F: DiscreteClass) -> list:
                     if sub.hyps not in seen:
                         seen[sub.hyps] = sub
                         frontier.append(sub)
-    return sorted(seen.values(), key=lambda G: (-len(G.hyps), G.hyps))
+    return sorted(seen.values(), key=class_order)
 
 
 def undisc_hypothesis(g: Sequence, K: int) -> tuple:

@@ -28,6 +28,7 @@ from .pipeline import (RegLearnConfig, RunFailure, TheoreticalScaleError,
 from .tree_learner import ReduceTreeError, ReduceTreeParams, reduce_tree_reg
 
 EXIT_OK = 0
+EXIT_INTERNAL = 1
 EXIT_SCHEMA = 2
 EXIT_PRECONDITION = 3
 EXIT_REDUCE_TREE_ERROR = 4
@@ -35,6 +36,7 @@ EXIT_BOTTOM = 5
 
 _EPILOG = """exit codes:
   0  success
+  1  internal error, a bug in privreg (one line: "internal error: <Type>: <msg>")
   2  schema or config error (bad JSON, unknown keys, invalid values)
   3  precondition violation (domain errors, scale refusal, missing seed)
   4  reduce-tree learner signalled ERROR (empty level classes)
@@ -59,6 +61,19 @@ def _load_json(path: str):
         raise SchemaError(f"{path}: file not found")
     except json.JSONDecodeError as e:
         raise SchemaError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}")
+
+
+_DEFAULTS = {"chi": 5, "random_classes": 50}
+
+
+def _number(cfg: dict, key: str, kind):
+    """cfg[key], or its default when absent, converted by kind (int or float)."""
+    value = cfg.get(key, _DEFAULTS.get(key))
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise SchemaError(f"config: {key!r} must be {'an integer' if kind is int else 'a number'}, "
+                          f"got {value!r}") from None
 
 
 def _require_keys(obj: dict, allowed: set, required: set, where: str) -> None:
@@ -145,8 +160,8 @@ def _as_discrete(cls) -> DiscreteClass:
 
 
 def _schedule_from(cfg: dict) -> LadderSchedule:
-    return LadderSchedule(int(cfg["ell_bar"]), int(cfg["r_max"]),
-                          int(cfg["tau_max"]), int(cfg.get("chi", 5)))
+    return LadderSchedule(_number(cfg, "ell_bar", int), _number(cfg, "r_max", int),
+                          _number(cfg, "tau_max", int), _number(cfg, "chi", int))
 
 
 def _cmd_dims(cfg: dict, seed):
@@ -154,18 +169,17 @@ def _cmd_dims(cfg: dict, seed):
     cls = load_class_file(cfg["class"])
     if isinstance(cls, DiscreteClass):
         return {"sfat2": sfat2(cls)}
-    alpha = cfg.get("alpha")
-    if alpha is None:
+    if cfg.get("alpha") is None:
         raise SchemaError("config: real classes need 'alpha' for dimensions")
-    return {"fat_alpha": fat_alpha(cls, float(alpha)),
-            "sfat_alpha": sfat_alpha(cls, float(alpha))}
+    alpha = _number(cfg, "alpha", float)
+    return {"fat_alpha": fat_alpha(cls, alpha), "sfat_alpha": sfat_alpha(cls, alpha)}
 
 
 def _cmd_irred(cfg: dict, seed):
     _require_keys(cfg, {"class", "l"}, {"class", "l"}, "config")
     F = _as_discrete(load_class_file(cfg["class"]))
     level = irreducibility_level(F)
-    return {"l": cfg["l"], "irreducible": is_l_irreducible(F, int(cfg["l"])),
+    return {"l": cfg["l"], "irreducible": is_l_irreducible(F, _number(cfg, "l", int)),
             "level": "infinite" if level == INFINITE else level}
 
 
@@ -186,8 +200,8 @@ def _cmd_reduce_tree(cfg: dict, seed):
         if not 1 <= y <= F.K:
             raise SchemaError(f"dataset label {y} outside [1..{F.K}]")
     emp = EmpiricalDistribution.from_samples(samples)
-    params = ReduceTreeParams(float(cfg["alpha1"]), float(cfg["alpha_delta"]),
-                              int(cfg["ell_prime"]))
+    params = ReduceTreeParams(_number(cfg, "alpha1", float), _number(cfg, "alpha_delta", float),
+                              _number(cfg, "ell_prime", int))
     out = reduce_tree_reg(F, emp, params)
     return {"t_final": out.t_final,
             "candidate_set": [list(g) for g in out.candidate_set],
@@ -198,7 +212,7 @@ def _cmd_filter(cfg: dict, seed):
     _require_keys(cfg, {"class", "ell_bar", "r_max", "tau_max", "chi"},
                   {"class", "ell_bar", "r_max", "tau_max"}, "config")
     F = _as_discrete(load_class_file(cfg["class"]))
-    filtered = filter_step(F, _schedule_from(cfg), int(cfg["r_max"]))
+    filtered = filter_step(F, _schedule_from(cfg), _number(cfg, "r_max", int))
     return {"levels": {str(b): [list(map(list, L.hyps)) for L in classes]
                        for b, classes in sorted(filtered.levels.items())}}
 
@@ -225,9 +239,9 @@ def _cmd_reglearn(cfg: dict, seed):
         raise DomainError("reglearn requires a real-valued class file")
     data = load_dataset_file(cfg["dataset"], cls.domain)
     rc = RegLearnConfig(
-        epsilon=float(cfg["epsilon"]), delta=float(cfg["delta"]),
-        eta_bar=float(cfg["eta_bar"]), beta=float(cfg["beta"]),
-        ell_bar=int(cfg["ell_bar"]), chi=int(cfg.get("chi", 5)),
+        epsilon=_number(cfg, "epsilon", float), delta=_number(cfg, "delta", float),
+        eta_bar=_number(cfg, "eta_bar", float), beta=_number(cfg, "beta", float),
+        ell_bar=_number(cfg, "ell_bar", int), chi=_number(cfg, "chi", int),
         m=cfg.get("m"), n0=cfg.get("n0"), n1=cfg.get("n1"),
         ell_prime=cfg.get("ell_prime"))
     out = reg_learn(cls, data, rc, seed=seed)
@@ -253,8 +267,8 @@ def _cmd_audit(cfg: dict, seed):
     for name, u in (("users", users), ("users_prime", users_p)):
         if not isinstance(u, list) or not all(isinstance(s, list) for s in u):
             raise SchemaError(f"config: '{name}' must be a list of candidate lists")
-    priv = PrivacyParams(float(cfg["epsilon"]), float(cfg["delta"]))
-    sparsity = int(cfg["sparsity"])
+    priv = PrivacyParams(_number(cfg, "epsilon", float), _number(cfg, "delta", float))
+    sparsity = _number(cfg, "sparsity", int)
 
     def mech(dataset, rng):
         inst = SelectionInstance([list(s) for s in dataset], sparsity)
@@ -262,7 +276,7 @@ def _cmd_audit(cfg: dict, seed):
         return "BOTTOM" if got is BOTTOM else got
 
     report = dp_audit(mech, [tuple(s) for s in users], [tuple(s) for s in users_p],
-                      priv, int(cfg["trials"]), seed)
+                      priv, _number(cfg, "trials", int), seed)
     return {"violation": report.violation, "trials": report.trials,
             "events": report.events}
 
@@ -275,7 +289,7 @@ def _cmd_oracle_check(cfg: dict, seed):
             for sub in itertools.combinations(
                 list(itertools.product(range(1, 4), repeat=2)), r)]
     report = oracle_agreement_grid(grid)
-    n_random = int(cfg.get("random_classes", 50))
+    n_random = _number(cfg, "random_classes", int)
     rng = random.Random(seed)
     dom3 = Domain(("a", "b", "c"))
     rand_classes = []
@@ -361,7 +375,7 @@ def main(argv=None) -> int:
         failure = None
     except SchemaError as e:
         return _fail(EXIT_SCHEMA, str(e))
-    except (DomainError, TheoreticalScaleError, ValueError) as e:
+    except (DomainError, TheoreticalScaleError) as e:
         return _fail(EXIT_PRECONDITION, str(e))
     except ReduceTreeError as e:
         return _fail(EXIT_REDUCE_TREE_ERROR, f"reduce-tree ERROR: {e}")
@@ -369,6 +383,8 @@ def main(argv=None) -> int:
         outputs = {"failure": "BOTTOM", "transcript": e.transcript}
         exit_code = EXIT_BOTTOM
         failure = str(e)
+    except Exception as e:
+        return _fail(EXIT_INTERNAL, f"internal error: {type(e).__name__}: {e}")
 
     body = {
         "command": args.command,

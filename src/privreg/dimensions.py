@@ -137,10 +137,15 @@ def fat_alpha(H: RealClass, alpha: float) -> int:
     """Exact i.i.d. fat-shattering dimension at margin alpha.
 
     Searches point subsets with per-point thresholds drawn from midpoints of
-    realized value pairs, with early pruning on unsplittable points.
+    realized value pairs, with early pruning on unsplittable points.  The
+    result is memoized on H.
     """
     if alpha <= 0:
         raise DomainError("alpha must be positive")
+    return memoized(H.memo, ("fat_alpha", H.hyps, alpha), _fat_alpha, H, alpha)
+
+
+def _fat_alpha(H: RealClass, alpha: float) -> int:
     if not H.hyps:
         return -1
     n = H.domain.size

@@ -56,7 +56,7 @@ def laplace_sample(b: float, rng: np.random.Generator) -> float:
 
 
 def noisy_opt_error(F: DiscreteClass, emp: EmpiricalDistribution, epsilon: float,
-                    n1: int, rng: np.random.Generator, test_mode: bool = False):
+                    n1: int, rng: np.random.Generator) -> float:
     """Minimum empirical error over F plus Laplace(2K/(epsilon*n1)) noise.
 
     The minimum has sensitivity at most K/n1 under single-sample replacement,
@@ -66,11 +66,7 @@ def noisy_opt_error(F: DiscreteClass, emp: EmpiricalDistribution, epsilon: float
         raise DomainError("noisy_opt_error requires a nonempty class")
     if n1 < 1:
         raise DomainError("n1 must be >= 1")
-    base = min_error(F, emp)
-    noise = laplace_sample(2.0 * F.K / (epsilon * n1), rng)
-    if test_mode:
-        return base + noise, base, noise
-    return base + noise
+    return min_error(F, emp) + laplace_sample(2.0 * F.K / (epsilon * n1), rng)
 
 
 def candidate_id(vector) -> str:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .classes import (DiscreteClass, DomainError, canonical_restriction,
+from .classes import (DiscreteClass, DomainError, canonical_restriction, class_order,
                       enumerate_restriction_subclasses, memoized, sup_distance)
 from .dimensions import sfat2
 from .irreducibility import build_reducing_tree, is_l_irreducible, soa, soa_partial
@@ -104,7 +104,7 @@ def _filter_step(F: DiscreteClass, schedule: LadderSchedule, r_max: int,
                 if H.hyps in upper or H.hyps in rep:
                     continue
                 found = None
-                for L in sorted(levels[b], key=lambda G: (-len(G.hyps), G.hyps)):
+                for L in sorted(levels[b], key=class_order):
                     if _agreement_restriction(F, L, H, schedule.ell(r, t) - 1, b) is not None:
                         found = L
                         break
@@ -140,22 +140,19 @@ def _soa_filter(F: DiscreteClass, g_hat: tuple, schedule: LadderSchedule, d: int
     for j in range(d + 1):
         r = schedule.r_max - j * r0 - 1
         tau = j * tau0 + 2 + schedule.chi
-        queue = [canonical_restriction(())]
+        # Restriction set -> F restricted to it; only nonempty classes queue.
+        queue = {(): F}
         for s in range(d + 1):
             if trace is not None:
                 trace.extend((j, s, a) for a in queue)
             next_queue: dict = {}
-            for a in queue:
-                H = F.restrict(a)
-                if H.is_empty:
-                    continue
+            for a, H in queue.items():
                 soa_h = soa_partial(H)
                 t = d - sfat2(H)
                 gaps = [_point_gap(soa_h[i], g_hat[i]) for i in range(F.domain.size)]
                 if max(gaps) <= tau:
                     ell_rt = schedule.ell(r, t)
-                    for L in sorted(filtered.levels[d - t],
-                                    key=lambda G: (-len(G.hyps), G.hyps)):
+                    for L in sorted(filtered.levels[d - t], key=class_order):
                         if not is_l_irreducible(L, ell_rt):
                             continue
                         sl = soa(L)
@@ -169,13 +166,12 @@ def _soa_filter(F: DiscreteClass, g_hat: tuple, schedule: LadderSchedule, d: int
                 for y in range(max(1, k - tau + 1), min(F.K, k + tau - 1) + 1):
                     tree = build_reducing_tree(H, x_a, y, ell_seq,
                                                require_reduction=False)
-                    for path, _ in tree.leaves():
-                        av = tree.ancestor_set(path)
+                    for _, av in tree.leaves():
                         if all(abs(g_hat[i] - yy) <= tau - 1 for i, yy in av):
-                            new_a = canonical_restriction(a + av)
-                            if not F.restrict(new_a).is_empty:
-                                next_queue[new_a] = None
-            queue = list(next_queue)
+                            G = H.restrict(av)
+                            if not G.is_empty:
+                                next_queue[canonical_restriction(a + av)] = G
+            queue = next_queue
     members = [L for L in result.values()
                if sup_distance(soa(L), g_hat) <= schedule.tau_max]
-    return RepSet(tuple(sorted(members, key=lambda G: (-len(G.hyps), G.hyps))))
+    return RepSet(tuple(sorted(members, key=class_order)))

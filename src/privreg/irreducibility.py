@@ -13,7 +13,7 @@ import math
 
 from .classes import DiscreteClass, DomainError, memoized
 from .dimensions import sfat2
-from .trees import KTree, TreeError, augmented_root, full_node, validate_kary
+from .trees import KTree, TreeError, augmented_root, validate_kary
 
 INFINITE = math.inf
 
@@ -48,24 +48,18 @@ def _every_point_preserves(F: DiscreteClass, l: int, d: int) -> bool:
     return True
 
 
-def irreducibility_level(F: DiscreteClass, cap: "int | None" = None):
+def irreducibility_level(F: DiscreteClass):
     """Largest l with F l-irreducible, or INFINITE.
 
-    Classes with sfat2 <= 0 are l-irreducible for every l.  With the default
-    cap (the number of hypotheses) the returned level is exact: when sfat2 >= 1
-    each extra level forces the property through a strictly smaller subclass of
-    equal dimension, so the level is below |F|.  An explicit smaller cap
-    truncates: the result is then min(level, cap).
+    Classes with sfat2 <= 0 are l-irreducible for every l.  When sfat2 >= 1
+    each extra level forces the property through a strictly smaller subclass
+    of equal dimension, so the level is below |F|, which bounds the search.
     """
     d = sfat2(F)
     if d <= 0:
         return INFINITE
-    if cap is None:
-        cap = len(F.hyps)
-    if cap < 0:
-        raise DomainError(f"cap {cap} must be nonnegative")
     level = 0
-    while level < cap and is_l_irreducible(F, level + 1):
+    while level < len(F.hyps) and is_l_irreducible(F, level + 1):
         level += 1
     return level
 
@@ -131,13 +125,11 @@ def reduction_witness_tree(F: DiscreteClass, l: int) -> "KTree | None":
         if any(not c.is_empty and sfat2(c) == d and is_l_irreducible(c, l - 1)
                for c in children.values()):
             continue
-        tree = full_node(i, F.K)
-        for k, c in children.items():
-            if not c.is_empty and sfat2(c) == d:
-                sub = reduction_witness_tree(c, l - 1)
-                assert sub is not None
-                tree.attach(sub, (k,))
-        return tree
+        # Here every child keeping sfat2 = d is not (l-1)-irreducible, so l >= 2
+        # and its own witness tree exists.
+        return KTree(i, {k: reduction_witness_tree(c, l - 1)
+                         if not c.is_empty and sfat2(c) == d else KTree.leaf()
+                         for k, c in children.items()})
     raise AssertionError("non-irreducible class must have a failing point")
 
 
@@ -149,9 +141,8 @@ def validate_witness_tree(F: DiscreteClass, tree: KTree, l: int) -> None:
     if tree.depth() > l:
         raise TreeError(f"witness tree depth {tree.depth()} exceeds {l}")
     d = sfat2(F)
-    for path, _ in tree.leaves():
-        sub = F.restrict(tree.ancestor_set(path))
-        if sfat2(sub) >= d:
+    for path, av in tree.leaves():
+        if sfat2(F.restrict(av)) >= d:
             raise TreeError(f"leaf {path} does not reduce sfat2")
 
 
@@ -163,7 +154,8 @@ def build_reducing_tree(H: DiscreteClass, x_index: int, y: int, ell_seq,
     ell_seq[t] is the required irreducibility level for leaves v with
     sfat2(H|a(v)) = sfat2(H) - t; it needs sfat2(H)+1 entries.  Leaves failing
     their level get a witness tree attached, strictly reducing sfat2 below
-    them, until every leaf complies.
+    them, until every leaf complies.  Each new leaf's class is its parent
+    leaf's class restricted to the witness tree's ancestor set.
     """
     if H.is_empty:
         raise DomainError("reducing tree requires a nonempty class")
@@ -177,24 +169,20 @@ def build_reducing_tree(H: DiscreteClass, x_index: int, y: int, ell_seq,
     if require_reduction and not sfat2(rooted) < d:
         raise DomainError("rooted pair does not reduce sfat2")
     tree = augmented_root(x_index, y)
-    changed = True
-    while changed:
-        changed = False
-        for path, _ in list(tree.leaves()):
-            G = H.restrict(tree.ancestor_set(path))
-            if G.is_empty:
-                continue
-            t = d - sfat2(G)
-            sub = reduction_witness_tree(G, ell_seq[t])
-            if sub is None:
-                continue
-            tree.attach(sub, path)
-            changed = True
+    work = [((y,), rooted)]
+    while work:
+        path, G = work.pop()
+        if G.is_empty:
+            continue
+        sub = reduction_witness_tree(G, ell_seq[d - sfat2(G)])
+        if sub is None:
+            continue
+        tree.attach(sub, path)
+        work.extend((path + p, G.restrict(av)) for p, av in sub.leaves())
     return tree
 
 
-def validate_reducing_tree(H: DiscreteClass, tree: KTree, ell_seq,
-                           require_root_reduction: bool = True) -> None:
+def validate_reducing_tree(H: DiscreteClass, tree: KTree, ell_seq) -> None:
     """Check the reducing-tree contract; raises TreeError on violation.
 
     Conditions per leaf v with t = sfat2(H) - sfat2(H|a(v)):
@@ -207,15 +195,14 @@ def validate_reducing_tree(H: DiscreteClass, tree: KTree, ell_seq,
         raise TreeError("reducing tree requires a nonempty class")
     d = sfat2(H)
     validate_kary(tree, H.K, augmented=True)
-    if require_root_reduction:
-        (label,) = tree.children
-        if not sfat2(H.restrict([(tree.point_index, label)])) < d:
-            raise TreeError("rooted pair does not reduce sfat2")
+    (label,) = tree.children
+    if not sfat2(H.restrict([(tree.point_index, label)])) < d:
+        raise TreeError("rooted pair does not reduce sfat2")
     prefix = [0]
     for l in ell_seq:
         prefix.append(prefix[-1] + l)
-    for path, _ in tree.leaves():
-        sub = H.restrict(tree.ancestor_set(path))
+    for path, av in tree.leaves():
+        sub = H.restrict(av)
         if sub.is_empty:
             continue
         t = d - sfat2(sub)
@@ -225,9 +212,14 @@ def validate_reducing_tree(H: DiscreteClass, tree: KTree, ell_seq,
             raise TreeError(f"leaf {path} not {ell_seq[t]}-irreducible at dimension gap {t}")
         if len(path) > prefix[t]:
             raise TreeError(f"leaf {path} exceeds height bound {prefix[t]}")
+        if t < 2:
+            continue
+        # dims[j] is the sfat2 of H restricted to the ancestor set of path[:j].
+        dims, G, node = [d], H, tree
+        for k in path:
+            G = G.restrict([(node.point_index, k)])
+            node = node.children[k]
+            dims.append(sfat2(G))
         for u in range(1, t):
-            if not any(
-                sfat2(H.restrict(tree.ancestor_set(path[:j]))) <= d - u
-                for j in range(min(len(path), prefix[u]) + 1)
-            ):
+            if not any(w <= d - u for w in dims[:prefix[u] + 1]):
                 raise TreeError(f"leaf {path} misses the depth-{u} ancestor condition")

@@ -9,7 +9,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .classes import DiscreteClass, DomainError, EmpiricalDistribution, sup_distance
+from .classes import (DiscreteClass, DomainError, EmpiricalDistribution, class_order,
+                      sup_distance)
 from .dimensions import sfat2
 from .filtering import filter_step
 from .irreducibility import is_l_irreducible, soa
@@ -201,7 +202,7 @@ def strong_stability_target(F: DiscreteClass, G: DiscreteClass, chi: int,
     pool = sorted((H for H, t, dist in candidates
                    if dist <= tau_star and sfat2(H) == target
                    and is_l_irreducible(H, schedule_ell(r_star, t))),
-                  key=lambda H: (-len(H.hyps), H.hyps))
+                  key=class_order)
     h_star = pool[0]
     from .filtering import LadderSchedule
     schedule = LadderSchedule(ell_bar, r_max, tau_max, chi)

@@ -15,8 +15,8 @@ import warnings
 from dataclasses import dataclass
 
 from .classes import (DiscreteClass, DomainError, EmpiricalDistribution, RealClass,
-                      abs_error, discretize_class, discretize_dataset, label_count,
-                      undisc_hypothesis)
+                      abs_error, class_order, discretize_class, discretize_dataset,
+                      label_count, memoized, undisc_hypothesis)
 from .dimensions import fat_alpha, sfat2
 from .dp import (BOTTOM, PrivacyParams, SelectionInstance, candidate_id,
                  noisy_opt_error, rng_stream, sparse_select)
@@ -144,6 +144,13 @@ def compute_parameters(H: RealClass, cfg: RegLearnConfig) -> ResolvedParams:
                           overridden=overridden)
 
 
+def _member_ids(F: DiscreteClass, g_hat: tuple, schedule: LadderSchedule) -> tuple:
+    """(candidate id, class) of each member of g_hat's filtered set, memoized
+    on F."""
+    return memoized(F.memo, ("member_ids", F.hyps, schedule, g_hat), lambda: tuple(
+        (candidate_id(soa(L)), L) for L in soa_filter(F, g_hat, schedule).members))
+
+
 def reg_learn(H: RealClass, data, cfg: RegLearnConfig, seed: "int | None" = None,
               rng=None) -> RegLearnOutput:
     """Run the full pipeline.
@@ -189,13 +196,10 @@ def reg_learn(H: RealClass, data, cfg: RegLearnConfig, seed: "int | None" = None
         s_sizes.append(len(out.candidate_set))
         ids = set()
         for g_hat in out.candidate_set:
-            rep = soa_filter(F, g_hat, params.schedule)
-            for L in rep.members:
-                vec = soa(L)
-                cid = candidate_id(vec)
+            for cid, L in _member_ids(F, g_hat, params.schedule):
                 ids.add(cid)
                 prev = id_to_class.get(cid)
-                if prev is None or (-len(L.hyps), L.hyps) < (-len(prev.hyps), prev.hyps):
+                if prev is None or class_order(L) < class_order(prev):
                     id_to_class[cid] = L
         group_sets.append(sorted(ids))
 

@@ -10,7 +10,7 @@ sfat2 below them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .classes import (DiscreteClass, DomainError, EmpiricalDistribution, abs_error,
                       memoized)
@@ -53,12 +53,16 @@ class ReduceTreeOutput:
     tree: KTree
     leaves: tuple            # paths of the output leaf set
     t_final: int
-    params: ReduceTreeParams = field(repr=False, default=None)
 
 
 def level_class(F: DiscreteClass, P: EmpiricalDistribution, alpha: float) -> DiscreteClass:
     """The subclass of F with empirical error at most alpha."""
-    return F.with_hyps(f for f in F.hyps if abs_error(f, P) <= alpha + _ERR_SLACK)
+    return F.with_hyps(_below(F.hyps, [abs_error(f, P) for f in F.hyps], alpha))
+
+
+def _below(hyps: tuple, errs: list, alpha: float) -> tuple:
+    """The hypotheses whose errors (errs, aligned with hyps) are at most alpha."""
+    return tuple(f for f, e in zip(hyps, errs) if e <= alpha + _ERR_SLACK)
 
 
 def reduce_tree_reg(F: DiscreteClass, P_hat: EmpiricalDistribution,
@@ -68,43 +72,43 @@ def reduce_tree_reg(F: DiscreteClass, P_hat: EmpiricalDistribution,
     d = sfat2(F)
     # Alpha enters only through the level classes at the 2(d+1) thresholds the
     # run can touch, so runs inducing the same subclasses share one result.
-    levels = tuple(level_class(F, P_hat, params.alpha(t)).hyps for t in range(1, d + 3))
-    out_levels = tuple(
-        level_class(F, P_hat, params.alpha(t) - 2 * params.alpha_delta / 3).hyps
-        for t in range(1, d + 2))
-    return memoized(F.memo, ("reduce_tree_reg", F.hyps, params.ell_prime, levels, out_levels),
-                    _reduce_tree, F, P_hat, params, d)
+    # levels[t] is at alpha(t+1); out_levels[t] is 2*alpha_delta/3 below it.
+    # Each hypothesis's error is computed once and thresholded at each of
+    # them; the level classes themselves are built only on a memo miss.
+    errs = [abs_error(f, P_hat) for f in F.hyps]
+    levels = tuple(_below(F.hyps, errs, params.alpha(t)) for t in range(1, d + 3))
+    out_levels = tuple(_below(F.hyps, errs, params.alpha(t) - 2 * params.alpha_delta / 3)
+                       for t in range(1, d + 2))
+    key = ("reduce_tree_reg", F.hyps, params.ell_prime, levels, out_levels)
+    return memoized(F.memo, key, lambda: _reduce_tree(
+        tuple(map(F.with_hyps, levels)), tuple(map(F.with_hyps, out_levels)), params, d))
 
 
-def _reduce_tree(F: DiscreteClass, P_hat: EmpiricalDistribution, params: ReduceTreeParams,
+def _max_dim_leaves(tree: KTree, level: DiscreteClass):
+    """The highest sfat2 of level restricted to a leaf, and the (path, a(v))
+    of the leaves attaining it, in leaf order."""
+    leaves = list(tree.leaves())
+    dims = [sfat2(level.restrict(av)) for _, av in leaves]
+    w_star = max(dims)
+    return w_star, [leaf for leaf, w in zip(leaves, dims) if w == w_star]
+
+
+def _reduce_tree(levels: tuple, out_levels: tuple, params: ReduceTreeParams,
                  d: int) -> ReduceTreeOutput:
-    def G(alpha: float, path: tuple) -> DiscreteClass:
-        return level_class(F, P_hat, alpha).restrict(
-            tree.ancestor_set(path))
-
     tree = KTree.leaf()
     t_final = d
     for t in range(1, d + 1):
-        alpha_t = params.alpha(t)
-        leaf_paths = [p for p, _ in tree.leaves()]
-        dims = [sfat2(G(alpha_t, p)) for p in leaf_paths]
-        w_star = max(dims)
-        front = [p for p, w in zip(leaf_paths, dims) if w == w_star]
+        w_star, front = _max_dim_leaves(tree, levels[t - 1])
         if w_star < 0:
             raise ReduceTreeError(f"all leaf classes empty at round {t}")
-        broke = False
-        for p in front:
-            lo = G(alpha_t - params.alpha_delta, p)
-            if sfat2(lo) == w_star >= 0 and is_l_irreducible(lo, params.ell(t)):
-                broke = True
-                break
-        if broke:
+        # Each front leaf's class one alpha step down: a subclass of its class
+        # at this round's level, so its sfat2 is at most w_star.
+        lows = [(p, levels[t].restrict(av)) for p, av in front]
+        if any(sfat2(lo) == w_star and is_l_irreducible(lo, params.ell(t)) for _, lo in lows):
             t_final = t - 1
             break
-        for p in front:
-            hi = G(alpha_t, p)
-            lo = G(alpha_t - params.alpha_delta, p)
-            if hi.is_empty or sfat2(lo) < sfat2(hi):
+        for p, lo in lows:
+            if sfat2(lo) < w_star:
                 continue
             ell_v = next(l for l in range(1, params.ell(t) + 1)
                          if not is_l_irreducible(lo, l))
@@ -112,18 +116,11 @@ def _reduce_tree(F: DiscreteClass, P_hat: EmpiricalDistribution, params: ReduceT
             assert witness is not None and witness.depth() <= ell_v
             tree.attach(witness, p)
 
-    alpha_out = params.alpha(t_final + 1)
-    leaf_paths = [p for p, _ in tree.leaves()]
-    dims = [sfat2(G(alpha_out, p)) for p in leaf_paths]
-    w_star = max(dims)
-    front = tuple(p for p, w in zip(leaf_paths, dims) if w == w_star)
+    _, front = _max_dim_leaves(tree, levels[t_final])
     candidates = []
-    for p in front:
-        cls = G(alpha_out - 2 * params.alpha_delta / 3, p)
+    for _, av in front:
+        cls = out_levels[t_final].restrict(av)
         if not cls.is_empty and is_l_irreducible(cls, params.ell_prime):
             candidates.append(soa(cls))
-    return ReduceTreeOutput(tuple(sorted(set(candidates))), tree, front, t_final, params)
-
-
-def output_tree_depth(out: ReduceTreeOutput) -> int:
-    return out.tree.depth()
+    return ReduceTreeOutput(tuple(sorted(set(candidates))), tree,
+                            tuple(p for p, _ in front), t_final)

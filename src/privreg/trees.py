@@ -44,15 +44,17 @@ class KTree:
         return node
 
     def leaves(self):
-        """Yield (path, node) for every leaf, depth-first in edge-label order."""
-        stack = [((), self)]
+        """Yield (path, a(v)) for every leaf v, depth-first in edge-label
+        order; a(v) is built on the way down and equals ancestor_set(path)."""
+        stack = [((), (), self)]
         while stack:
-            path, node = stack.pop()
+            path, pairs, node = stack.pop()
             if node.is_leaf:
-                yield path, node
+                yield path, tuple(sorted(set(pairs)))
             else:
                 for k in sorted(node.children, reverse=True):
-                    stack.append((path + (k,), node.children[k]))
+                    stack.append((path + (k,), pairs + ((node.point_index, k),),
+                                  node.children[k]))
 
     def nodes(self):
         """Yield (path, node) for every node including the root."""
@@ -76,14 +78,18 @@ class KTree:
         return tuple(sorted(pairs))
 
     def attach(self, sub: "KTree", path: tuple) -> None:
-        """Give the leaf at `path` sub's root label and subtree (in place)."""
+        """Give the leaf at `path` sub's root label and children, in place.
+
+        The tree takes over sub's nodes rather than copying them, so sub must
+        not be attached anywhere else or changed afterwards.
+        """
         node = self.node_at(path)
         if not node.is_leaf:
             raise TreeError(f"node at {path} is not a leaf")
         if sub.is_leaf:
             raise TreeError("cannot attach a bare leaf")
         node.point_index = sub.point_index
-        node.children = {k: _copy(c) for k, c in sub.children.items()}
+        node.children = sub.children
 
     def to_json(self, domain):
         if self.is_leaf:
@@ -99,17 +105,6 @@ class KTree:
             return KTree.leaf()
         children = {int(k): KTree.from_json(v, domain) for k, v in obj["children"].items()}
         return KTree(domain.index(obj["point"]), children)
-
-
-def _copy(t: KTree) -> KTree:
-    if t.is_leaf:
-        return KTree.leaf()
-    return KTree(t.point_index, {k: _copy(c) for k, c in t.children.items()})
-
-
-def full_node(point_index: int, K: int) -> KTree:
-    """Internal node with K fresh leaf children."""
-    return KTree(point_index, {k: KTree.leaf() for k in range(1, K + 1)})
 
 
 def augmented_root(point_index: int, edge_label: int) -> KTree:

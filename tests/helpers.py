@@ -2,7 +2,8 @@
 
 import random
 
-from privreg import DiscreteClass, Domain, RealClass
+from privreg import DiscreteClass, Domain, KTree, RealClass, reduction_witness_tree, sfat2
+from privreg.trees import augmented_root
 
 
 def make_domain(n: int) -> Domain:
@@ -39,3 +40,28 @@ def class_stream(seed: int, nx=2, K=4, min_h=1, max_h=8):
     rng = random.Random(seed)
     while True:
         yield random_class(rng, nx=nx, K=K, min_h=min_h, max_h=max_h)
+
+
+def full_node(point_index: int, K: int) -> KTree:
+    """Internal node with K fresh leaf children."""
+    return KTree(point_index, {k: KTree.leaf() for k in range(1, K + 1)})
+
+
+def build_reducing_tree_rescan(H: DiscreteClass, x_index: int, y: int, ell_seq) -> KTree:
+    """Reference for build_reducing_tree: rescan every leaf, rebuilding its
+    class from the root, until no leaf takes a witness tree."""
+    d = sfat2(H)
+    tree = augmented_root(x_index, y)
+    changed = True
+    while changed:
+        changed = False
+        for path, _ in list(tree.leaves()):
+            G = H.restrict(tree.ancestor_set(path))
+            if G.is_empty:
+                continue
+            sub = reduction_witness_tree(G, ell_seq[d - sfat2(G)])
+            if sub is None:
+                continue
+            tree.attach(sub, path)
+            changed = True
+    return tree

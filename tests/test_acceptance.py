@@ -27,7 +27,6 @@ from privreg import (BOTTOM, DiscreteClass, EmpiricalDistribution, LadderSchedul
                      build_reducing_tree, validate_reducing_tree)
 from privreg.classes import enumerate_restriction_subclasses
 from privreg.cli import EXIT_OK, main as cli_main
-from privreg.tree_learner import output_tree_depth
 
 from helpers import H_DESK, class_stream, dclass, make_domain
 
@@ -229,7 +228,7 @@ def test_criterion_2_structural_invariants():
                                       2.0, 2)
             out = reduce_tree_reg(F, P, params)
             if need("output-tree-depth"):
-                assert output_tree_depth(out) <= \
+                assert out.tree.depth() <= \
                     params.ell(out.t_final + 1) - params.ell_prime
                 c["output-tree-depth"] += 1
             if need("candidate-set-size"):

@@ -4,7 +4,7 @@ import random
 import weakref
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from privreg import (DiscreteClass, Domain, DomainError, EmpiricalDistribution,
@@ -41,6 +41,7 @@ def test_discretize_value_errors():
 
 @given(st.floats(min_value=-1, max_value=1), st.floats(min_value=-1, max_value=1),
        st.sampled_from([0.9, 0.5, 0.25, 0.1]))
+@example(1.0, 0.9999999999999999, 0.9)
 def test_discretize_value_monotone(y1, y2, eta):
     lo, hi = sorted((y1, y2))
     assert discretize_value(lo, eta) <= discretize_value(hi, eta)

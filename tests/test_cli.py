@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from privreg.cli import (EXIT_BOTTOM, EXIT_OK, EXIT_PRECONDITION,
+import privreg.cli
+from privreg.cli import (EXIT_BOTTOM, EXIT_INTERNAL, EXIT_OK, EXIT_PRECONDITION,
                          EXIT_REDUCE_TREE_ERROR, EXIT_SCHEMA, main)
 
 from helpers import F_TOY, H_DESK, dclass
@@ -67,6 +68,25 @@ def test_unknown_config_key_is_schema_error(tmp_path):
 def test_missing_class_file_is_schema_error(tmp_path):
     cfg = _write(tmp_path / "cfg.json", {"class": str(tmp_path / "nope.json")})
     assert main(["dims", "--config", cfg]) == EXIT_SCHEMA
+
+
+def test_non_numeric_config_value_is_schema_error(tmp_path):
+    cfg = _write(tmp_path / "cfg.json",
+                 {"class": _discrete_class_file(tmp_path, F_TOY), "l": "two"})
+    assert main(["irred", "--config", cfg]) == EXIT_SCHEMA
+
+
+def test_internal_error_is_not_a_precondition(tmp_path, monkeypatch, capsys):
+    def broken(F):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(privreg.cli, "sfat2", broken)
+    cfg = _write(tmp_path / "cfg.json",
+                 {"class": _discrete_class_file(tmp_path, F_TOY)})
+    assert main(["dims", "--config", cfg]) == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert "internal error: ValueError: boom" in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_reglearn_requires_seed(tmp_path):

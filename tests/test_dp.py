@@ -6,7 +6,7 @@ import pytest
 from privreg import (BOTTOM, PrivacyParams, SelectionInstance, candidate_id,
                      dp_audit, laplace_sample, noisy_opt_error, rng_stream,
                      sparse_select)
-from privreg.classes import DomainError, EmpiricalDistribution
+from privreg.classes import DomainError, EmpiricalDistribution, min_error
 from privreg.dp import selection_threshold
 
 from helpers import F_TOY
@@ -41,10 +41,8 @@ def test_laplace_sample():
 
 def test_noisy_opt_error():
     P = EmpiricalDistribution.from_samples([(0, 1), (1, 3)])
-    total, base, noise = noisy_opt_error(F_TOY, P, 0.5, 2, rng_stream(3),
-                                         test_mode=True)
-    assert base == pytest.approx(0.0)
-    assert total == pytest.approx(noise)
+    total = noisy_opt_error(F_TOY, P, 0.5, 2, rng_stream(3))
+    assert total == min_error(F_TOY, P) + laplace_sample(2 * F_TOY.K / (0.5 * 2), rng_stream(3))
     with pytest.raises(DomainError):
         noisy_opt_error(F_TOY, P, 0.5, 0, rng_stream(3))
 

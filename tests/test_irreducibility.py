@@ -10,7 +10,7 @@ from privreg.classes import DomainError
 from privreg.oracles import irreducible_bruteforce
 from privreg.trees import TreeError
 
-from helpers import F_TOY, class_stream, dclass
+from helpers import F_TOY, build_reducing_tree_rescan, class_stream, dclass
 
 
 def test_is_l_irreducible_conventions():
@@ -56,8 +56,6 @@ def test_is_l_irreducible_large_level_with_constant_point():
 def test_irreducibility_level():
     assert irreducibility_level(dclass([(1, 2)])) == INFINITE
     assert irreducibility_level(F_TOY) == 0
-    with pytest.raises(DomainError):
-        irreducibility_level(F_TOY, cap=-1)
     for F in itertools.islice(class_stream(9), 40):
         level = irreducibility_level(F)
         if level == INFINITE:
@@ -166,3 +164,43 @@ def test_build_reducing_tree_preconditions():
     with pytest.raises(DomainError):
         # sfat2 = 0 class; the pair (x1,1) keeps sfat2 at 0, so no reduction.
         build_reducing_tree(dclass([(1,), (2,)], nx=1, K=4), 0, 1, [1, 1])
+
+
+def test_build_reducing_tree_matches_rescan():
+    rng = random.Random(59)
+    checked = {True: 0, False: 0}
+    for F in itertools.islice(class_stream(61, nx=3, K=4, max_h=12), 80):
+        d = sfat2(F)
+        for x in range(3):
+            for y in range(1, 5):
+                reduces = sfat2(F.restrict([(x, y)])) < d
+                # Learner-style levels on reducing pairs; filter-style
+                # (ell(r, t) = (r+2)^t) on every pair without the check.
+                for require, ell_seq in ((True, [2 ** t for t in range(d + 1)]),
+                                         (False, [rng.choice((2, 3)) ** t
+                                                  for t in range(d + 1)])):
+                    if require and not reduces:
+                        continue
+                    tree = build_reducing_tree(F, x, y, ell_seq, require_reduction=require)
+                    ref = build_reducing_tree_rescan(F, x, y, ell_seq)
+                    assert tree.to_json(F.domain) == ref.to_json(F.domain)
+                    checked[require] += tree.depth() > 1
+    assert checked[True] >= 20 and checked[False] >= 20
+
+
+def test_reducing_tree_leaves_yield_ancestor_sets():
+    revisits = 0
+    for F in itertools.islice(class_stream(67, nx=3, K=4, max_h=12), 60):
+        d = sfat2(F)
+        for x in range(3):
+            for y in range(1, 5):
+                if sfat2(F.restrict([(x, y)])) >= d:
+                    continue
+                tree = build_reducing_tree(F, x, y, [2 ** t for t in range(d + 1)])
+                for path, av in tree.leaves():
+                    assert av == tree.ancestor_set(path)
+                    if len({i for i, _ in av}) < len(av):
+                        # A point met twice with two labels: the class is empty.
+                        assert F.restrict(av).is_empty
+                        revisits += 1
+    assert revisits > 0

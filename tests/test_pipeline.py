@@ -45,6 +45,13 @@ def test_compute_parameters_desk():
     assert params.n == 60 * 40
 
 
+def test_compute_parameters_memoizes_fat_alpha():
+    H = RealClass(X2, H_DESK.hyps)
+    cfg = RegLearnConfig(**DESK)
+    params = compute_parameters(H, cfg)
+    assert H.memo[("fat_alpha", H.hyps, cfg.c0 * cfg.eta_bar)] == params.fat
+
+
 def test_theoretical_scale_refusal():
     cfg = RegLearnConfig(epsilon=1.0, delta=0.05, eta_bar=0.5, beta=0.2,
                          ell_bar=1)

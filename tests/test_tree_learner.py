@@ -7,7 +7,6 @@ from privreg import (EmpiricalDistribution, ReduceTreeError, ReduceTreeParams,
                      level_class, min_error, reduce_tree_reg, sfat2, soa)
 from privreg.classes import DomainError
 from privreg.irreducibility import is_l_irreducible
-from privreg.tree_learner import output_tree_depth
 
 from helpers import F_TOY, class_stream, dclass
 
@@ -39,7 +38,7 @@ def test_singleton_run():
     params = ReduceTreeParams(err + 2.0, 2.0, 2)
     out = reduce_tree_reg(F, P, params)
     assert out.candidate_set == ((2, 3),)
-    assert output_tree_depth(out) == 0
+    assert out.tree.depth() == 0
 
 
 def test_error_when_alpha1_too_small():
@@ -73,7 +72,7 @@ def test_depth_and_size_bounds():
         P = _uniform(samples)
         params = ReduceTreeParams(min_error(F, P) + (d + 1) * 2.0 + 0.5, 2.0, 2)
         out = reduce_tree_reg(F, P, params)
-        assert output_tree_depth(out) <= params.ell(out.t_final + 1) - params.ell_prime
+        assert out.tree.depth() <= params.ell(out.t_final + 1) - params.ell_prime
         assert len(out.candidate_set) <= F.K ** (params.ell_prime * 2 ** (d + 1))
 
 

@@ -1,9 +1,9 @@
 import pytest
 
 from privreg import KTree, TreeError
-from privreg.trees import augmented_root, full_node, validate_kary
+from privreg.trees import augmented_root, validate_kary
 
-from helpers import X2
+from helpers import X2, full_node
 
 
 def test_leaf_and_depth():
@@ -25,13 +25,15 @@ def test_attach_identity():
         base.attach(KTree.leaf(), (1,))
 
 
-def test_attach_copies_subtree():
+def test_attach_takes_over_subtree():
     base = full_node(0, 2)
     sub = full_node(1, 2)
+    sub.attach(full_node(0, 2), (2,))
     base.attach(sub, (1,))
-    base.attach(sub, (2,))
-    base.node_at((1,)).children[1].point_index = 99
-    assert base.node_at((2,)).children[1].is_leaf
+    node = base.node_at((1,))
+    assert node.point_index == 1
+    assert all(node.children[k] is sub.children[k] for k in (1, 2))
+    assert base.node_at((1, 2)) is sub.children[2]
 
 
 def test_ancestor_sets():
@@ -47,6 +49,19 @@ def test_leaves_order_deterministic():
     t = full_node(0, 3)
     paths = [p for p, _ in t.leaves()]
     assert paths == [(1,), (2,), (3,)]
+
+
+def test_leaves_yield_ancestor_sets():
+    t = full_node(1, 2)
+    t.attach(full_node(0, 2), (2,))
+    t.attach(full_node(1, 2), (2, 1))
+    assert list(t.leaves()) == [
+        ((1,), ((1, 1),)),
+        ((2, 1, 1), ((0, 1), (1, 1), (1, 2))),
+        ((2, 1, 2), ((0, 1), (1, 2))),
+        ((2, 2), ((0, 2), (1, 2))),
+    ]
+    assert all(av == t.ancestor_set(p) for p, av in t.leaves())
 
 
 def test_validate_kary():
