@@ -4,10 +4,13 @@ Hypotheses are stored as value vectors aligned with the domain's point order.
 Classes are kept in a canonical form (sorted, deduplicated vectors) so that
 extensional equality is plain equality.
 
-Each class carries a memo dict that its restrictions share, so results
-computed on a class and its subclasses are kept on the root and freed with
-it.  Every subclass in one memo has the same domain and K, so entries are
-keyed by (tag, hyps, *args).
+A discrete class built by its constructor is a root: it checks its rows once
+and keeps a BitIndex of them in its memo, where bit j stands for its j-th
+canonical row.  Its subclasses share that memo and carry an int mask over
+the bits; restrict ANDs the masks of the rows with a given label at a point,
+and a subclass's rows are the root's rows in bit order, which is canonical.
+Results on a class and its subclasses are kept in the root's memo, keyed by
+(tag, mask, *args), and freed with it; a real class's by (tag, hyps, *args).
 """
 
 from __future__ import annotations
@@ -81,6 +84,19 @@ class RealClass:
         return len(self.hyps)
 
 
+class BitIndex:
+    """A root class's rows, row -> bit, and eq[i][k], the mask of the rows
+    with h[i] == k (k in 1..K; eq[i][0] is 0)."""
+
+    def __init__(self, rows: tuple, npoints: int, K: int):
+        self.rows = rows
+        self.bit = {h: 1 << j for j, h in enumerate(rows)}
+        self.eq = [[0] * (K + 1) for _ in range(npoints)]
+        for h, b in self.bit.items():
+            for i, v in enumerate(h):
+                self.eq[i][v] |= b
+
+
 @dataclass(frozen=True)
 class DiscreteClass:
     """Hypotheses mapping the domain into {1..K}; may be empty (sfat2 = -1)."""
@@ -88,7 +104,8 @@ class DiscreteClass:
     domain: Domain
     K: int
     hyps: tuple = field(default=())
-    memo: dict = field(default_factory=dict, compare=False, repr=False)
+    memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    mask: int = field(default=0, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.K < 1:
@@ -101,30 +118,55 @@ class DiscreteClass:
                 if not (isinstance(v, int) and 1 <= v <= self.K):
                     raise DomainError(f"label {v} outside 1..{self.K}")
         object.__setattr__(self, "hyps", canon)
+        object.__setattr__(self, "mask", (1 << len(canon)) - 1)
+        self.memo["bits"] = BitIndex(canon, self.domain.size, self.K)
 
     def __len__(self) -> int:
         return len(self.hyps)
 
     @property
     def is_empty(self) -> bool:
-        return not self.hyps
+        return not self.mask
+
+    @property
+    def bits(self) -> BitIndex:
+        """The root's bit index, which mask is over."""
+        return self.memo["bits"]
+
+    def with_mask(self, mask: int) -> "DiscreteClass":
+        """Subclass of the root with the rows in mask, sharing its memo."""
+        rows, hyps, rest = self.bits.rows, [], mask
+        while rest:
+            low = rest & -rest
+            hyps.append(rows[low.bit_length() - 1])
+            rest ^= low
+        # The rows were checked in the root and come in bit order, which is
+        # canonical, so the fields are set past __init__ and its checks.
+        sub = object.__new__(DiscreteClass)
+        vars(sub).update(vars(self), hyps=tuple(hyps), mask=mask)
+        return sub
 
     def with_hyps(self, hyps: Iterable[Sequence]) -> "DiscreteClass":
-        """Subclass with these hypotheses, sharing this class's memo."""
-        return DiscreteClass(self.domain, self.K, tuple(hyps), self.memo)
+        """Subclass of the root with these hypotheses, sharing its memo."""
+        try:
+            mask = sum({self.bits.bit[tuple(h)] for h in hyps})
+        except KeyError as e:
+            raise DomainError(f"hypothesis {e.args[0]} is not in the root class") from None
+        return self.with_mask(mask)
 
     def restrict(self, constraints) -> "DiscreteClass":
         """Subclass agreeing with every (point_index, label) constraint.
 
         Conflicting constraints are legal and yield the empty class.
         """
-        cons = canonical_restriction(constraints)
-        for i, k in cons:
-            if not (0 <= i < self.domain.size):
+        eq, mask, K = self.bits.eq, self.mask, self.K
+        for i, k in constraints:
+            if not (0 <= i < len(eq)):
                 raise DomainError(f"point index {i} outside domain")
-            if not (1 <= k <= self.K):
-                raise DomainError(f"label {k} outside 1..{self.K}")
-        return self.with_hyps([h for h in self.hyps if all(h[i] == k for i, k in cons)])
+            if not (1 <= k <= K):
+                raise DomainError(f"label {k} outside 1..{K}")
+            mask &= eq[i][k]
+        return self.with_mask(mask)
 
 
 def class_order(G: DiscreteClass) -> tuple:
@@ -219,22 +261,19 @@ def enumerate_restriction_subclasses(F: DiscreteClass) -> list:
     Closure of {F} under single-point restrictions; canonical order is
     descending size, then lexicographic hypothesis lists.
     """
-    seen = {}
-    if not F.is_empty:
-        seen[F.hyps] = F
-        frontier = [F]
-        while frontier:
-            G = frontier.pop()
-            for i in range(F.domain.size):
-                labels = {h[i] for h in G.hyps}
-                if len(labels) == 1:
-                    continue
-                for k in sorted(labels):
-                    sub = G.restrict([(i, k)])
-                    if sub.hyps not in seen:
-                        seen[sub.hyps] = sub
-                        frontier.append(sub)
-    return sorted(seen.values(), key=class_order)
+    if F.is_empty:
+        return []
+    masks = {F.mask}
+    frontier = [F.mask]
+    while frontier:
+        mask = frontier.pop()
+        for eq in F.bits.eq:
+            for e in eq:
+                sub = mask & e
+                if sub and sub not in masks:
+                    masks.add(sub)
+                    frontier.append(sub)
+    return sorted(map(F.with_mask, masks), key=class_order)
 
 
 def undisc_hypothesis(g: Sequence, K: int) -> tuple:

@@ -67,9 +67,12 @@ _DEFAULTS = {"chi": 5, "random_classes": 50}
 
 
 def _number(cfg: dict, key: str, kind):
-    """cfg[key], or its default when absent, converted by kind (int or float)."""
+    """cfg[key], or its default when absent, converted by kind (int or float);
+    an int must not have a fractional part."""
     value = cfg.get(key, _DEFAULTS.get(key))
     try:
+        if kind is int and isinstance(value, float) and not value.is_integer():
+            raise ValueError(value)
         return kind(value)
     except (TypeError, ValueError):
         raise SchemaError(f"config: {key!r} must be {'an integer' if kind is int else 'a number'}, "
@@ -195,10 +198,10 @@ def _cmd_reduce_tree(cfg: dict, seed):
                   "config")
     F = _as_discrete(load_class_file(cfg["class"]))
     data = load_dataset_file(cfg["dataset"], F.domain)
+    for i, y in data:
+        if not (y.is_integer() and 1 <= y <= F.K):
+            raise SchemaError(f"dataset label {y} is not an integer in [1..{F.K}]")
     samples = [(i, int(y)) for i, y in data]
-    for i, y in samples:
-        if not 1 <= y <= F.K:
-            raise SchemaError(f"dataset label {y} outside [1..{F.K}]")
     emp = EmpiricalDistribution.from_samples(samples)
     params = ReduceTreeParams(_number(cfg, "alpha1", float), _number(cfg, "alpha_delta", float),
                               _number(cfg, "ell_prime", int))

@@ -8,6 +8,13 @@ sfat2 on integer-labeled classes uses the threshold recursion
 when both restricted classes are nonempty (0 for nonempty F otherwise, -1 for
 empty F).  Integer thresholds suffice: any real witness value induces the same
 or smaller child classes than the nearest integer in {2..K-1}.
+
+The recursion runs on bit masks over the root's rows, one (up, down) mask
+pair per threshold split, and keeps its values in one dict per root, keyed by
+mask.  A depth-r tree needs 2^r hypotheses, so sfat2(G) <= floor(log2 |G|):
+the search over G's splits stops once it reaches that cap, and skips any
+split whose smaller side has fewer than 2^best rows, since such a split
+cannot beat the best one found so far.  Both prunings are exact.
 """
 
 from __future__ import annotations
@@ -17,38 +24,49 @@ from dataclasses import dataclass
 from .classes import DiscreteClass, DomainError, RealClass, memoized
 
 
-def _split(hyps: tuple, i: int, lo: float, hi: float) -> tuple:
-    """(functions with f(x_i) >= hi, functions with f(x_i) <= lo)."""
-    up = tuple(h for h in hyps if h[i] >= hi)
-    down = tuple(h for h in hyps if h[i] <= lo)
-    return up, down
-
-
 def sfat2(F: DiscreteClass) -> int:
     """Sequential fat-shattering dimension at scale 2; -1 for the empty class."""
-    return _sfat2_rec(F.hyps, F.domain.size, F.K, F.memo)
+    splits, dims = _context(F)
+    return _sfat(splits, dims, F.mask)
 
 
-def _sfat2_rec(hyps: tuple, npoints: int, K: int, memo: dict) -> int:
-    return memoized(memo, ("sfat2", hyps), _sfat2_best_split, hyps, npoints, K, memo)
+def _context(F: DiscreteClass) -> tuple:
+    """The root's integer-threshold splits and its sfat2 values by mask."""
+    return memoized(F.memo, "sfat2", lambda: (_split_masks(
+        F.bits.rows, [(i, s) for i in range(F.domain.size) for s in range(2, F.K)], 1), {}))
 
 
-def _sfat2_best_split(hyps: tuple, npoints: int, K: int, memo: dict) -> int:
-    if not hyps:
-        return -1
-    best = 0
-    for i in range(npoints):
-        values = sorted({h[i] for h in hyps})
-        if len(values) < 2:
+def _split_masks(rows: tuple, thresholds: list, margin: float) -> list:
+    """(i, s, up, down) for each threshold s at point i, in the given order:
+    up holds the rows with h[i] - s >= margin, down those with s - h[i] >=
+    margin.  A split with an empty side on all rows is left out."""
+    out = []
+    for i, s in thresholds:
+        up = sum(1 << j for j, h in enumerate(rows) if h[i] - s >= margin)
+        down = sum(1 << j for j, h in enumerate(rows) if s - h[i] >= margin)
+        if up and down:
+            out.append((i, s, up, down))
+    return out
+
+
+def _sfat(splits: list, dims: dict, mask: int) -> int:
+    """sfat2 of the rows in mask, memoized in dims."""
+    best = dims.get(mask)
+    if best is not None:
+        return best
+    # A depth-r tree needs 2^r rows, so floor(log2 |G|) caps the value; for
+    # the empty mask the cap is -1.
+    cap = mask.bit_count().bit_length() - 1
+    best = min(cap, 0)
+    for _, _, up, down in splits:
+        if best == cap:
+            break
+        up, down = up & mask, down & mask
+        # A split beats best only if both sides hold 2^best rows.
+        if not up or not down or min(up.bit_count(), down.bit_count()).bit_length() <= best:
             continue
-        for s in range(2, K):
-            up, down = _split(hyps, i, s - 1, s + 1)
-            if not up or not down:
-                continue
-            cand = 1 + min(_sfat2_rec(up, npoints, K, memo),
-                           _sfat2_rec(down, npoints, K, memo))
-            if cand > best:
-                best = cand
+        best = max(best, 1 + min(_sfat(splits, dims, up), _sfat(splits, dims, down)))
+    dims[mask] = best
     return best
 
 
@@ -78,20 +96,19 @@ def extract_sfat_certificate(F: DiscreteClass) -> CertNode:
     if d < 1:
         raise DomainError(f"no certificate: sfat2 = {d} < 1")
 
-    def build(hyps: tuple, depth: int):
+    splits, dims = _context(F)
+
+    def build(mask: int, depth: int):
         if depth == 0:
             return None
-        for i in range(F.domain.size):
-            for s in range(2, F.K):
-                up, down = _split(hyps, i, s - 1, s + 1)
-                if not up or not down:
-                    continue
-                if min(_sfat2_rec(up, F.domain.size, F.K, F.memo),
-                       _sfat2_rec(down, F.domain.size, F.K, F.memo)) >= depth - 1:
-                    return CertNode(i, float(s), build(up, depth - 1), build(down, depth - 1))
+        for i, s, up, down in splits:
+            up, down = up & mask, down & mask
+            if up and down and min(_sfat(splits, dims, up),
+                                   _sfat(splits, dims, down)) >= depth - 1:
+                return CertNode(i, float(s), build(up, depth - 1), build(down, depth - 1))
         raise AssertionError("recursion promised a shattering split")
 
-    return build(F.hyps, d)
+    return build(F.mask, d)
 
 
 def verify_certificate(F: DiscreteClass, cert: CertNode, alpha: float = 2.0) -> bool:
@@ -193,30 +210,14 @@ def sfat_alpha(H: RealClass, alpha: float) -> int:
     """Exact sequential fat-shattering dimension at margin alpha for real classes.
 
     Same recursion as sfat2 with real thresholds enumerated over midpoints of
-    realized value pairs and required gap alpha/2 on each side.
+    realized value pairs and required gap alpha/2 on each side.  A subclass's
+    own midpoints realize each of its splits (the midpoint of the lowest high
+    value and the highest low value), so the class's midpoints serve them all.
     """
     if alpha <= 0:
         raise DomainError("alpha must be positive")
 
-    memo: dict = {}
-
-    def rec(hyps: tuple) -> int:
-        if not hyps:
-            return -1
-        cached = memo.get(hyps)
-        if cached is not None:
-            return cached
-        best = 0
-        for i in range(H.domain.size):
-            for s in _midpoint_thresholds(h[i] for h in hyps):
-                up = tuple(h for h in hyps if h[i] - s >= alpha / 2)
-                down = tuple(h for h in hyps if s - h[i] >= alpha / 2)
-                if not up or not down:
-                    continue
-                cand = 1 + min(rec(up), rec(down))
-                if cand > best:
-                    best = cand
-        memo[hyps] = best
-        return best
-
-    return rec(H.hyps)
+    rows = H.hyps
+    thresholds = [(i, s) for i in range(H.domain.size)
+                  for s in _midpoint_thresholds(h[i] for h in rows)]
+    return _sfat(_split_masks(rows, thresholds, alpha / 2), {}, (1 << len(rows)) - 1)

@@ -51,7 +51,10 @@ def laplace_sample(b: float, rng: np.random.Generator) -> float:
     """One Laplace(0, b) draw via inverse CDF on a single uniform."""
     if b <= 0:
         raise DomainError("Laplace scale must be positive")
-    u = rng.random() - 0.5
+    u = rng.random()
+    while u == 0.0:  # log(0) below; only such a draw is taken again
+        u = rng.random()
+    u -= 0.5
     return -b * math.copysign(1.0, u) * math.log(1.0 - 2.0 * abs(u))
 
 

@@ -58,7 +58,7 @@ class RepSet:
 
 
 def _subclasses(F: DiscreteClass) -> list:
-    return memoized(F.memo, ("subclasses", F.hyps), enumerate_restriction_subclasses, F)
+    return memoized(F.memo, ("subclasses", F.mask), enumerate_restriction_subclasses, F)
 
 
 def irreducible_subclasses(F: DiscreteClass, l: int, b: int) -> list:
@@ -85,7 +85,7 @@ def filter_step(F: DiscreteClass, schedule: LadderSchedule, r_max: int) -> Filte
     d = sfat2(F)
     if d < 0:
         raise DomainError("filter_step requires a nonempty class")
-    return memoized(F.memo, ("filter_step", F.hyps, schedule, r_max),
+    return memoized(F.memo, ("filter_step", F.mask, schedule, r_max),
                     _filter_step, F, schedule, r_max, d)
 
 
@@ -99,9 +99,9 @@ def _filter_step(F: DiscreteClass, schedule: LadderSchedule, r_max: int,
                    for r in range(r_max + 1)}
         members[r_max + 1] = []
         for r in range(r_max, -1, -1):
-            upper = {H.hyps for H in members[r + 1]}
+            upper = {H.mask for H in members[r + 1]}
             for H in members[r]:
-                if H.hyps in upper or H.hyps in rep:
+                if H.mask in upper or H.hyps in rep:
                     continue
                 found = None
                 for L in sorted(levels[b], key=class_order):
@@ -127,7 +127,7 @@ def soa_filter(F: DiscreteClass, g_hat: tuple, schedule: LadderSchedule,
         raise DomainError("r_max and tau_max must be multiples of d+1")
     if trace is not None:
         return _soa_filter(F, g_hat, schedule, d, trace)
-    return memoized(F.memo, ("soa_filter", F.hyps, schedule, tuple(g_hat)),
+    return memoized(F.memo, ("soa_filter", F.mask, schedule, tuple(g_hat)),
                     _soa_filter, F, g_hat, schedule, d, None)
 
 
@@ -157,7 +157,7 @@ def _soa_filter(F: DiscreteClass, g_hat: tuple, schedule: LadderSchedule, d: int
                             continue
                         sl = soa(L)
                         if all(sl[i] == y for i, y in a):
-                            result[L.hyps] = L
+                            result[L.mask] = L
                             break
                     continue
                 x_a = next(i for i in range(F.domain.size) if gaps[i] >= tau + 1)

@@ -32,18 +32,24 @@ def is_l_irreducible(F: DiscreteClass, l: int) -> bool:
     # Past the constant points skipped below, every step strictly shrinks
     # the class, so levels beyond |F| all give the same answer.
     l = min(l, len(F.hyps))
-    return memoized(F.memo, ("is_l_irreducible", F.hyps, l), _every_point_preserves, F, l, d)
+    return memoized(F.memo, ("is_l_irreducible", F.mask, l), _every_point_preserves, F, l, d)
+
+
+def _keepers(F: DiscreteClass, eq: list, d: int) -> dict:
+    """Label k -> F restricted to (x, k), for each label k at a point x (eq,
+    its masks) whose restriction keeps sfat2 = d."""
+    return {k: G for k in range(1, F.K + 1)
+            if (sub := F.mask & eq[k]) and sfat2(G := F.with_mask(sub)) == d}
 
 
 def _every_point_preserves(F: DiscreteClass, l: int, d: int) -> bool:
-    for i in range(F.domain.size):
-        labels = sorted({h[i] for h in F.hyps})
+    for eq in F.bits.eq:
+        keep = _keepers(F, eq, d).values()
         # At a constant point the condition reads "F is (l-1)-irreducible",
         # which, the property being monotone in l, the other points imply.
-        if len(labels) == 1:
+        if any(G.mask == F.mask for G in keep):
             continue
-        if not any(sfat2(sub := F.restrict([(i, k)])) == d and is_l_irreducible(sub, l - 1)
-                   for k in labels):
+        if not any(is_l_irreducible(G, l - 1) for G in keep):
             return False
     return True
 
@@ -90,23 +96,18 @@ def soa_partial(G: DiscreteClass) -> tuple:
     """
     if G.is_empty:
         raise DomainError("labeling requires a nonempty class")
-    return memoized(G.memo, ("soa_partial", G.hyps), _preserving_labels, G)
+    return memoized(G.memo, ("soa_partial", G.mask), _preserving_labels, G)
 
 
 def _preserving_labels(G: DiscreteClass) -> tuple:
     d = sfat2(G)
     out = []
-    for i in range(G.domain.size):
-        maximizers = [k for k in range(1, G.K + 1)
-                      if not (sub := G.restrict([(i, k)])).is_empty and sfat2(sub) == d]
-        if not maximizers:
-            out.append(None)
-        elif len(maximizers) == 1:
-            out.append(maximizers[0])
+    for eq in G.bits.eq:
+        keep = _keepers(G, eq, d)
+        if len(keep) < 2:
+            out.append(next(iter(keep), None))
         else:
-            best = max(maximizers,
-                       key=lambda k: (irreducibility_level(G.restrict([(i, k)])), -k))
-            out.append(best)
+            out.append(max(keep, key=lambda k: (irreducibility_level(keep[k]), -k)))
     return tuple(out)
 
 
@@ -120,16 +121,14 @@ def reduction_witness_tree(F: DiscreteClass, l: int) -> "KTree | None":
     if F.is_empty or is_l_irreducible(F, l):
         return None
     d = sfat2(F)
-    for i in range(F.domain.size):
-        children = {k: F.restrict([(i, k)]) for k in range(1, F.K + 1)}
-        if any(not c.is_empty and sfat2(c) == d and is_l_irreducible(c, l - 1)
-               for c in children.values()):
+    for i, eq in enumerate(F.bits.eq):
+        keep = _keepers(F, eq, d)
+        if any(is_l_irreducible(G, l - 1) for G in keep.values()):
             continue
         # Here every child keeping sfat2 = d is not (l-1)-irreducible, so l >= 2
         # and its own witness tree exists.
-        return KTree(i, {k: reduction_witness_tree(c, l - 1)
-                         if not c.is_empty and sfat2(c) == d else KTree.leaf()
-                         for k, c in children.items()})
+        return KTree(i, {k: reduction_witness_tree(keep[k], l - 1) if k in keep
+                         else KTree.leaf() for k in range(1, F.K + 1)})
     raise AssertionError("non-irreducible class must have a failing point")
 
 

@@ -147,7 +147,7 @@ def compute_parameters(H: RealClass, cfg: RegLearnConfig) -> ResolvedParams:
 def _member_ids(F: DiscreteClass, g_hat: tuple, schedule: LadderSchedule) -> tuple:
     """(candidate id, class) of each member of g_hat's filtered set, memoized
     on F."""
-    return memoized(F.memo, ("member_ids", F.hyps, schedule, g_hat), lambda: tuple(
+    return memoized(F.memo, ("member_ids", F.mask, schedule, g_hat), lambda: tuple(
         (candidate_id(soa(L)), L) for L in soa_filter(F, g_hat, schedule).members))
 
 

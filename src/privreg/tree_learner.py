@@ -57,12 +57,14 @@ class ReduceTreeOutput:
 
 def level_class(F: DiscreteClass, P: EmpiricalDistribution, alpha: float) -> DiscreteClass:
     """The subclass of F with empirical error at most alpha."""
-    return F.with_hyps(_below(F.hyps, [abs_error(f, P) for f in F.hyps], alpha))
+    return F.with_mask(_below([F.bits.bit[f] for f in F.hyps],
+                              [abs_error(f, P) for f in F.hyps], alpha))
 
 
-def _below(hyps: tuple, errs: list, alpha: float) -> tuple:
-    """The hypotheses whose errors (errs, aligned with hyps) are at most alpha."""
-    return tuple(f for f, e in zip(hyps, errs) if e <= alpha + _ERR_SLACK)
+def _below(bits: list, errs: list, alpha: float) -> int:
+    """Mask of the hypotheses whose errors (errs, aligned with bits) are at
+    most alpha."""
+    return sum(b for b, e in zip(bits, errs) if e <= alpha + _ERR_SLACK)
 
 
 def reduce_tree_reg(F: DiscreteClass, P_hat: EmpiricalDistribution,
@@ -76,12 +78,13 @@ def reduce_tree_reg(F: DiscreteClass, P_hat: EmpiricalDistribution,
     # Each hypothesis's error is computed once and thresholded at each of
     # them; the level classes themselves are built only on a memo miss.
     errs = [abs_error(f, P_hat) for f in F.hyps]
-    levels = tuple(_below(F.hyps, errs, params.alpha(t)) for t in range(1, d + 3))
-    out_levels = tuple(_below(F.hyps, errs, params.alpha(t) - 2 * params.alpha_delta / 3)
+    bits = [F.bits.bit[f] for f in F.hyps]
+    levels = tuple(_below(bits, errs, params.alpha(t)) for t in range(1, d + 3))
+    out_levels = tuple(_below(bits, errs, params.alpha(t) - 2 * params.alpha_delta / 3)
                        for t in range(1, d + 2))
-    key = ("reduce_tree_reg", F.hyps, params.ell_prime, levels, out_levels)
+    key = ("reduce_tree_reg", F.mask, params.ell_prime, levels, out_levels)
     return memoized(F.memo, key, lambda: _reduce_tree(
-        tuple(map(F.with_hyps, levels)), tuple(map(F.with_hyps, out_levels)), params, d))
+        tuple(map(F.with_mask, levels)), tuple(map(F.with_mask, out_levels)), params, d))
 
 
 def _max_dim_leaves(tree: KTree, level: DiscreteClass):

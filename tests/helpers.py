@@ -65,3 +65,26 @@ def build_reducing_tree_rescan(H: DiscreteClass, x_index: int, y: int, ell_seq) 
             tree.attach(sub, path)
             changed = True
     return tree
+
+
+def sfat2_tuples(F: DiscreteClass) -> int:
+    """Reference for sfat2: the threshold recursion on hypothesis tuples,
+    with no pruning, memoized per call."""
+    memo: dict = {}
+
+    def rec(hyps: tuple) -> int:
+        if not hyps:
+            return -1
+        if hyps in memo:
+            return memo[hyps]
+        best = 0
+        for i in range(F.domain.size):
+            for s in range(2, F.K):
+                up = tuple(h for h in hyps if h[i] >= s + 1)
+                down = tuple(h for h in hyps if h[i] <= s - 1)
+                if up and down:
+                    best = max(best, 1 + min(rec(up), rec(down)))
+        memo[hyps] = best
+        return best
+
+    return rec(F.hyps)

@@ -82,6 +82,47 @@ def test_restrict_composition():
         assert F.restrict(a).restrict(b).hyps == F.restrict(a + b).hyps
 
 
+def test_restrict_contract():
+    F = dclass([(1, 1), (1, 3), (3, 1), (3, 3), (2, 4)])
+    assert F.restrict([(0, 1), (0, 3)]).is_empty
+    assert F.restrict([(0, 1), (0, 3)]).hyps == ()
+    assert F.restrict([(0, 1), (0, 1)]).hyps == ((1, 1), (1, 3))
+    assert F.restrict([(1, 3), (0, 1), (1, 3)]).hyps == ((1, 3),)
+    assert F.restrict([]).hyps == F.hyps
+    for bad in ([(2, 1)], [(-1, 1)], [(0, 0)], [(0, 5)], [(0, 1), (1, 9)],
+                [(0, 4), (7, 1)]):
+        with pytest.raises(DomainError):
+            F.restrict(bad)
+
+
+def test_with_hyps_contract():
+    F = dclass([(1, 1), (1, 3), (3, 1), (3, 3)])
+    G = F.restrict([(0, 1)])
+    # Rows of the root outside G are allowed; order and repeats are not kept.
+    sub = G.with_hyps([(3, 3), (1, 1), (3, 3)])
+    assert sub.hyps == ((1, 1), (3, 3))
+    assert sub.memo is F.memo
+    assert F.with_hyps([]).is_empty
+    for bad in ([(2, 2)], [(1, 1), (1, 1, 1)], [(0, 1)]):
+        with pytest.raises(DomainError):
+            G.with_hyps(bad)
+
+
+def test_subclasses_are_canonical_and_share_the_root_memo():
+    rng = random.Random(12)
+    for _ in range(40):
+        F = dclass([[rng.randint(1, 5) for _ in range(3)] for _ in range(12)], K=5, nx=3)
+        G = F
+        for _ in range(3):
+            cons = [(rng.randrange(3), rng.randint(1, 5)) for _ in range(rng.randint(0, 2))]
+            expect = tuple(h for h in G.hyps if all(h[i] == k for i, k in cons))
+            G = G.restrict(cons)
+            assert G.hyps == expect == tuple(sorted(set(G.hyps)))
+            assert G.memo is F.memo and G.bits is F.bits
+            assert G == DiscreteClass(F.domain, F.K, G.hyps)
+            assert G.with_hyps(reversed(G.hyps)) == G
+
+
 def test_canonical_restriction():
     assert canonical_restriction([(1, 2), (0, 3), (1, 2)]) == ((0, 3), (1, 2))
 
@@ -103,10 +144,11 @@ def test_memo_lives_on_the_class():
     reduce_tree_reg(F, EmpiricalDistribution.from_samples([(0, 2), (1, 3)]),
                     ReduceTreeParams(60.0, 18.0, 6))
     assert F.restrict([(0, 2)]).memo is F.memo
-    ref = weakref.ref(F)
+    ref, bits = weakref.ref(F), weakref.ref(F.bits)
     del F
     gc.collect()
     assert ref() is None
+    assert bits() is None
 
     G1, G2 = dclass([(1, 3), (2, 1)]), dclass([(2, 1), (1, 3)])
     sfat2(G1)

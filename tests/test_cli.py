@@ -76,6 +76,25 @@ def test_non_numeric_config_value_is_schema_error(tmp_path):
     assert main(["irred", "--config", cfg]) == EXIT_SCHEMA
 
 
+def test_non_integral_config_value_is_schema_error(tmp_path):
+    cfg = _write(tmp_path / "cfg.json",
+                 {"class": _discrete_class_file(tmp_path, F_TOY), "l": 2.7})
+    assert main(["irred", "--config", cfg]) == EXIT_SCHEMA
+    # An integral float is an integer.
+    cfg = _write(tmp_path / "cfg.json",
+                 {"class": _discrete_class_file(tmp_path, F_TOY), "l": 2.0})
+    assert main(["irred", "--config", cfg, "--out", str(tmp_path / "r.json")]) == EXIT_OK
+
+
+def test_non_integral_dataset_label_is_schema_error(tmp_path):
+    cls = _discrete_class_file(tmp_path, F_TOY)
+    data = _dataset_file(tmp_path, [(0, 1), (1, 2.5)], F_TOY.domain)
+    cfg = _write(tmp_path / "cfg.json", {
+        "class": cls, "dataset": data, "alpha1": 60.0, "alpha_delta": 18.0,
+        "ell_prime": 6})
+    assert main(["reduce-tree", "--config", cfg]) == EXIT_SCHEMA
+
+
 def test_internal_error_is_not_a_precondition(tmp_path, monkeypatch, capsys):
     def broken(F):
         raise ValueError("boom")

@@ -8,7 +8,7 @@ from privreg.classes import DomainError
 from privreg.dimensions import (CertNode, extract_sfat_certificate,
                                 verify_certificate)
 
-from helpers import F_TOY, X1, X2, class_stream, dclass
+from helpers import F_TOY, X1, X2, class_stream, dclass, make_domain, sfat2_tuples
 
 
 def test_sfat2_conventions():
@@ -87,3 +87,25 @@ def test_certificate_depth_matches_dimension():
         cert = extract_sfat_certificate(F)
         assert cert.depth == d
         assert verify_certificate(F, cert)
+
+
+def test_sfat2_matches_tuple_recursion():
+    classes = list(itertools.islice(class_stream(41, max_h=10), 120))
+    classes += itertools.islice(class_stream(42, nx=3, K=6, max_h=14), 60)
+    rng = random.Random(8)
+    for nx, K, nf in [(2, 4, 8), (3, 5, 12), (4, 6, 20), (5, 6, 25), (5, 7, 30)]:
+        for _ in range(4):
+            hyps = set()
+            while len(hyps) < nf:
+                hyps.add(tuple(rng.randint(1, K) for _ in range(nx)))
+            classes.append(DiscreteClass(make_domain(nx), K, tuple(hyps)))
+    # Subclasses too, whose masks are not the root's full mask.
+    classes += [F.restrict([(0, k)]) for F in classes[-20:] for k in (1, 2)]
+    for F in classes:
+        d = sfat2(F)
+        assert d == sfat2_tuples(F)
+        assert d <= len(F).bit_length() - 1  # floor(log2 |F|); -1 when empty
+        if d >= 1:
+            cert = extract_sfat_certificate(F)
+            assert cert.depth == d
+            assert verify_certificate(F, cert)

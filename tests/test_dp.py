@@ -39,6 +39,23 @@ def test_laplace_sample():
     assert [laplace_sample(2.0, again) for _ in range(3)] == xs[:3]
 
 
+class _Draws:
+    """A generator stub whose random() returns the given values in turn."""
+
+    def __init__(self, *values):
+        self.values = list(values)
+
+    def random(self):
+        return self.values.pop(0)
+
+
+def test_laplace_sample_draws_again_on_zero():
+    rng = _Draws(0.0, 0.75, 0.25)
+    assert laplace_sample(2.0, rng) == laplace_sample(2.0, _Draws(0.75)) == 2.0 * math.log(2.0)
+    assert rng.values == [0.25]
+    assert laplace_sample(2.0, _Draws(0.25)) == -2.0 * math.log(2.0)
+
+
 def test_noisy_opt_error():
     P = EmpiricalDistribution.from_samples([(0, 1), (1, 3)])
     total = noisy_opt_error(F_TOY, P, 0.5, 2, rng_stream(3))
