@@ -68,13 +68,14 @@ _DEFAULTS = {"chi": 5, "random_classes": 50}
 
 def _number(cfg: dict, key: str, kind):
     """cfg[key], or its default when absent, converted by kind (int or float);
-    an int must not have a fractional part."""
+    an int must not have a fractional part, and JSON true/false is no number."""
     value = cfg.get(key, _DEFAULTS.get(key))
     try:
-        if kind is int and isinstance(value, float) and not value.is_integer():
+        if isinstance(value, bool) or (kind is int and isinstance(value, float)
+                                       and not value.is_integer()):
             raise ValueError(value)
         return kind(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise SchemaError(f"config: {key!r} must be {'an integer' if kind is int else 'a number'}, "
                           f"got {value!r}") from None
 
@@ -114,16 +115,16 @@ def load_class_file(path: str):
             raise SchemaError(f"{path}: 'real' and 'K' are mutually exclusive")
         for row_no, h in enumerate(hyps):
             for v in h:
-                if not isinstance(v, (int, float)) or not -1.0 <= v <= 1.0:
+                if type(v) not in (int, float) or not -1.0 <= v <= 1.0:
                     raise SchemaError(
                         f"{path}: hypothesis {row_no}: value {v!r} outside [-1,1]")
         return RealClass(dom, tuple(tuple(float(v) for v in h) for h in hyps))
     K = obj.get("K")
-    if not isinstance(K, int) or K < 1:
+    if type(K) is not int or K < 1:  # JSON true/false load as bools, which are ints
         raise SchemaError(f"{path}: field 'K' must be a positive integer")
     for row_no, h in enumerate(hyps):
         for v in h:
-            if not isinstance(v, int) or not 1 <= v <= K:
+            if type(v) is not int or not 1 <= v <= K:
                 raise SchemaError(
                     f"{path}: hypothesis {row_no}: label {v!r} outside [1..{K}]")
     return DiscreteClass(dom, K, tuple(tuple(h) for h in hyps))
@@ -144,7 +145,7 @@ def load_dataset_file(path: str, domain: Domain) -> list:
         pid, y = row
         if pid not in domain.points:
             raise SchemaError(f"{path}: sample {row_no}: unknown point {pid!r}")
-        if not isinstance(y, (int, float)):
+        if type(y) not in (int, float):
             raise SchemaError(f"{path}: sample {row_no}: label {y!r} not numeric")
         out.append((domain.index(pid), float(y)))
     return out
@@ -226,7 +227,7 @@ def _cmd_soafilter(cfg: dict, seed):
     F = _as_discrete(load_class_file(cfg["class"]))
     g_hat = cfg["g_hat"]
     if (not isinstance(g_hat, list) or len(g_hat) != F.domain.size
-            or not all(isinstance(v, int) and 1 <= v <= F.K for v in g_hat)):
+            or not all(type(v) is int and 1 <= v <= F.K for v in g_hat)):
         raise SchemaError(f"config: 'g_hat' must be {F.domain.size} labels in [1..{F.K}]")
     rep = soa_filter(F, tuple(g_hat), _schedule_from(cfg))
     return {"members": [list(map(list, L.hyps)) for L in rep.members]}

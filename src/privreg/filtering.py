@@ -166,11 +166,9 @@ def _soa_filter(F: DiscreteClass, g_hat: tuple, schedule: LadderSchedule, d: int
                 for y in range(max(1, k - tau + 1), min(F.K, k + tau - 1) + 1):
                     tree = build_reducing_tree(H, x_a, y, ell_seq,
                                                require_reduction=False)
-                    for _, av in tree.leaves():
-                        if all(abs(g_hat[i] - yy) <= tau - 1 for i, yy in av):
-                            G = H.restrict(av)
-                            if not G.is_empty:
-                                next_queue[canonical_restriction(a + av)] = G
+                    for _, pairs, m in tree.leaves(H):
+                        if m and all(abs(g_hat[i] - yy) <= tau - 1 for i, yy in pairs):
+                            next_queue[canonical_restriction(a + pairs)] = H.with_mask(m)
             queue = next_queue
     members = [L for L in result.values()
                if sup_distance(soa(L), g_hat) <= schedule.tau_max]

@@ -134,14 +134,14 @@ def reduction_witness_tree(F: DiscreteClass, l: int) -> "KTree | None":
 
 def validate_witness_tree(F: DiscreteClass, tree: KTree, l: int) -> None:
     """Check the witness-tree contract; raises TreeError on violation."""
-    validate_kary(tree, F.K)
+    validate_kary(tree, F.domain.size, F.K)
     if tree.is_leaf:
         raise TreeError("witness tree must have depth >= 1")
     if tree.depth() > l:
         raise TreeError(f"witness tree depth {tree.depth()} exceeds {l}")
     d = sfat2(F)
-    for path, av in tree.leaves():
-        if sfat2(F.restrict(av)) >= d:
+    for path, _, mask in tree.leaves(F):
+        if sfat2(F.with_mask(mask)) >= d:
             raise TreeError(f"leaf {path} does not reduce sfat2")
 
 
@@ -153,8 +153,8 @@ def build_reducing_tree(H: DiscreteClass, x_index: int, y: int, ell_seq,
     ell_seq[t] is the required irreducibility level for leaves v with
     sfat2(H|a(v)) = sfat2(H) - t; it needs sfat2(H)+1 entries.  Leaves failing
     their level get a witness tree attached, strictly reducing sfat2 below
-    them, until every leaf complies.  Each new leaf's class is its parent
-    leaf's class restricted to the witness tree's ancestor set.
+    them, until every leaf complies.  Each new nonempty leaf's class comes
+    from the witness tree's leaf walk over its parent leaf's class.
     """
     if H.is_empty:
         raise DomainError("reducing tree requires a nonempty class")
@@ -168,16 +168,14 @@ def build_reducing_tree(H: DiscreteClass, x_index: int, y: int, ell_seq,
     if require_reduction and not sfat2(rooted) < d:
         raise DomainError("rooted pair does not reduce sfat2")
     tree = augmented_root(x_index, y)
-    work = [((y,), rooted)]
+    work = [((y,), rooted)] if rooted.mask else []
     while work:
         path, G = work.pop()
-        if G.is_empty:
-            continue
         sub = reduction_witness_tree(G, ell_seq[d - sfat2(G)])
         if sub is None:
             continue
         tree.attach(sub, path)
-        work.extend((path + p, G.restrict(av)) for p, av in sub.leaves())
+        work.extend((path + p, G.with_mask(m)) for p, _, m in sub.leaves(G) if m)
     return tree
 
 
@@ -193,17 +191,17 @@ def validate_reducing_tree(H: DiscreteClass, tree: KTree, ell_seq) -> None:
     if H.is_empty:
         raise TreeError("reducing tree requires a nonempty class")
     d = sfat2(H)
-    validate_kary(tree, H.K, augmented=True)
+    validate_kary(tree, H.domain.size, H.K, augmented=True)
     (label,) = tree.children
     if not sfat2(H.restrict([(tree.point_index, label)])) < d:
         raise TreeError("rooted pair does not reduce sfat2")
     prefix = [0]
     for l in ell_seq:
         prefix.append(prefix[-1] + l)
-    for path, av in tree.leaves():
-        sub = H.restrict(av)
-        if sub.is_empty:
+    for path, _, mask in tree.leaves(H):
+        if not mask:
             continue
+        sub = H.with_mask(mask)
         t = d - sfat2(sub)
         if t >= len(ell_seq):
             raise TreeError(f"level sequence too short for dimension gap {t}")
@@ -214,11 +212,11 @@ def validate_reducing_tree(H: DiscreteClass, tree: KTree, ell_seq) -> None:
         if t < 2:
             continue
         # dims[j] is the sfat2 of H restricted to the ancestor set of path[:j].
-        dims, G, node = [d], H, tree
+        dims, anc, node = [d], H.mask, tree
         for k in path:
-            G = G.restrict([(node.point_index, k)])
+            anc &= H.bits.eq[node.point_index][k]
             node = node.children[k]
-            dims.append(sfat2(G))
+            dims.append(sfat2(H.with_mask(anc)))
         for u in range(1, t):
             if not any(w <= d - u for w in dims[:prefix[u] + 1]):
                 raise TreeError(f"leaf {path} misses the depth-{u} ancestor condition")

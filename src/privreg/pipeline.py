@@ -70,7 +70,7 @@ class RegLearnConfig:
             raise DomainError("ell_bar must be >= 1")
         for name in ("m", "n0", "n1", "ell_prime"):
             v = getattr(self, name)
-            if v is not None and (not isinstance(v, int) or v < 1):
+            if v is not None and (type(v) is not int or v < 1):
                 raise DomainError(f"override {name} must be a positive integer")
 
 

@@ -88,10 +88,10 @@ def reduce_tree_reg(F: DiscreteClass, P_hat: EmpiricalDistribution,
 
 
 def _max_dim_leaves(tree: KTree, level: DiscreteClass):
-    """The highest sfat2 of level restricted to a leaf, and the (path, a(v))
-    of the leaves attaining it, in leaf order."""
-    leaves = list(tree.leaves())
-    dims = [sfat2(level.restrict(av)) for _, av in leaves]
+    """The highest sfat2 of level at a leaf, and the (path, mask of level's
+    rows there) of the leaves attaining it, in leaf order."""
+    leaves = [(p, m) for p, _, m in tree.leaves(level)]
+    dims = [sfat2(level.with_mask(m)) for _, m in leaves]
     w_star = max(dims)
     return w_star, [leaf for leaf, w in zip(leaves, dims) if w == w_star]
 
@@ -104,9 +104,9 @@ def _reduce_tree(levels: tuple, out_levels: tuple, params: ReduceTreeParams,
         w_star, front = _max_dim_leaves(tree, levels[t - 1])
         if w_star < 0:
             raise ReduceTreeError(f"all leaf classes empty at round {t}")
-        # Each front leaf's class one alpha step down: a subclass of its class
-        # at this round's level, so its sfat2 is at most w_star.
-        lows = [(p, levels[t].restrict(av)) for p, av in front]
+        # Each front leaf's class one alpha step down, a subclass of its class
+        # at this round's level (levels[t] is inside levels[t-1]): sfat2 <= w_star.
+        lows = [(p, levels[t].with_mask(levels[t].mask & m)) for p, m in front]
         if any(sfat2(lo) == w_star and is_l_irreducible(lo, params.ell(t)) for _, lo in lows):
             t_final = t - 1
             break
@@ -120,9 +120,11 @@ def _reduce_tree(levels: tuple, out_levels: tuple, params: ReduceTreeParams,
             tree.attach(witness, p)
 
     _, front = _max_dim_leaves(tree, levels[t_final])
+    # out_levels[t_final] is inside levels[t_final], whose leaf masks front has.
+    last = out_levels[t_final]
     candidates = []
-    for _, av in front:
-        cls = out_levels[t_final].restrict(av)
+    for _, m in front:
+        cls = last.with_mask(last.mask & m)
         if not cls.is_empty and is_l_irreducible(cls, params.ell_prime):
             candidates.append(soa(cls))
     return ReduceTreeOutput(tuple(sorted(set(candidates))), tree,

@@ -5,7 +5,8 @@ point label and a full set of K children keyed by edge labels 1..K.  Augmented
 trees are the same structure except the root keeps exactly one child.  Leaves
 are addressed by their edge-label path from the root; leaf enumeration is
 depth-first in edge-label order, which is the deterministic iteration order
-used throughout.
+used throughout.  The leaf walk ANDs a class's masks down the tree, so each
+leaf arrives with the class restricted to a(v) as one int.
 """
 
 from __future__ import annotations
@@ -43,28 +44,22 @@ class KTree:
             node = node.children[k]
         return node
 
-    def leaves(self):
-        """Yield (path, a(v)) for every leaf v, depth-first in edge-label
-        order; a(v) is built on the way down and equals ancestor_set(path)."""
-        stack = [((), (), self)]
+    def leaves(self, G):
+        """Yield (path, pairs, mask) for every leaf v, depth-first in
+        edge-label order.  pairs are a(v)'s (point_index, edge_label) pairs in
+        path order; mask is G's rows that agree with all of them, so
+        G.with_mask(mask) is G restricted to a(v)."""
+        eq = G.bits.eq
+        stack = [((), (), G.mask, self)]
         while stack:
-            path, pairs, node = stack.pop()
+            path, pairs, mask, node = stack.pop()
             if node.is_leaf:
-                yield path, tuple(sorted(set(pairs)))
+                yield path, pairs, mask
             else:
+                i = node.point_index
                 for k in sorted(node.children, reverse=True):
-                    stack.append((path + (k,), pairs + ((node.point_index, k),),
+                    stack.append((path + (k,), pairs + ((i, k),), mask & eq[i][k],
                                   node.children[k]))
-
-    def nodes(self):
-        """Yield (path, node) for every node including the root."""
-        stack = [((), self)]
-        while stack:
-            path, node = stack.pop()
-            yield path, node
-            if not node.is_leaf:
-                for k in sorted(node.children, reverse=True):
-                    stack.append((path + (k,), node.children[k]))
 
     def ancestor_set(self, path: tuple) -> tuple:
         """The set a(v) of (point_index, edge_label) pairs along the root path."""
@@ -112,18 +107,22 @@ def augmented_root(point_index: int, edge_label: int) -> KTree:
     return KTree(point_index, {edge_label: KTree.leaf()})
 
 
-def validate_kary(tree: KTree, K: int, augmented: bool = False) -> None:
-    """Check the structural tree conditions (full K-way branching below the
-    root; the root has exactly one child when `augmented`)."""
-    if tree.is_leaf:
-        if augmented:
-            raise TreeError("augmented tree must have a rooted pair")
-        return
-    expected_root = 1 if augmented else K
-    if len(tree.children) != expected_root:
-        raise TreeError(f"root has {len(tree.children)} children, expected {expected_root}")
-    for _, node in tree.nodes():
-        if node is tree or node.is_leaf:
+def validate_kary(tree: KTree, npoints: int, K: int, augmented: bool = False) -> None:
+    """Check the structural tree conditions: point indices in 0..npoints-1,
+    edge labels in 1..K, full K-way branching below the root, and a root with
+    exactly one child when `augmented`."""
+    if tree.is_leaf and augmented:
+        raise TreeError("augmented tree must have a rooted pair")
+    stack = [(tree, 1 if augmented else K)]
+    while stack:
+        node, width = stack.pop()
+        if node.is_leaf:
             continue
-        if len(node.children) != K or set(node.children) != set(range(1, K + 1)):
-            raise TreeError("internal node lacks full K-way branching")
+        if len(node.children) != width:
+            raise TreeError(f"node has {len(node.children)} children, expected {width}")
+        if not 0 <= node.point_index < npoints:
+            raise TreeError(f"point index {node.point_index} outside 0..{npoints - 1}")
+        for k, child in node.children.items():
+            if not 1 <= k <= K:
+                raise TreeError(f"edge label {k} outside 1..{K}")
+            stack.append((child, K))

@@ -55,7 +55,7 @@ def build_reducing_tree_rescan(H: DiscreteClass, x_index: int, y: int, ell_seq) 
     changed = True
     while changed:
         changed = False
-        for path, _ in list(tree.leaves()):
+        for path, _, _ in list(tree.leaves(H)):
             G = H.restrict(tree.ancestor_set(path))
             if G.is_empty:
                 continue

@@ -212,7 +212,7 @@ def test_criterion_2_structural_invariants():
                     tree = build_reducing_tree(F, i, y, ell_seq)
                     validate_reducing_tree(F, tree, ell_seq)
                     by_gap = collections.Counter()
-                    for path, _ in tree.leaves():
+                    for path, _, _ in tree.leaves(F):
                         sub = F.restrict(tree.ancestor_set(path))
                         if not sub.is_empty:
                             by_gap[d - sfat2(sub)] += 1

@@ -95,6 +95,42 @@ def test_non_integral_dataset_label_is_schema_error(tmp_path):
     assert main(["reduce-tree", "--config", cfg]) == EXIT_SCHEMA
 
 
+def _bool_case(tmp_path, case):
+    """(command, config) where one number, label or K is a JSON true."""
+    disc = _discrete_class_file(tmp_path, F_TOY)
+    real = _real_class_file(tmp_path, H_DESK, name="real.json")
+    data = _dataset_file(tmp_path, [(0, 1), (1, 3)], F_TOY.domain)
+    tree = {"class": disc, "dataset": data, "alpha1": 60.0, "alpha_delta": 18.0,
+            "ell_prime": 6}
+    soaf = {"class": disc, "g_hat": [2, 2], "ell_bar": 1, "r_max": 3, "tau_max": 36}
+    return {
+        "int-config": ("irred", {"class": disc, "l": True}),
+        "float-config": ("dims", {"class": real, "alpha": True}),
+        "class-label": ("irred", {"l": 1, "class": _write(tmp_path / "b1.json", {
+            "domain": ["x1", "x2"], "K": 4, "hypotheses": [[1, True]]})}),
+        "class-K": ("dims", {"class": _write(tmp_path / "b2.json", {
+            "domain": ["x1"], "K": True, "hypotheses": [[1]]})}),
+        "real-value": ("dims", {"alpha": 0.5, "class": _write(tmp_path / "b3.json", {
+            "domain": ["x1", "x2"], "real": True, "hypotheses": [[True, 0.5]]})}),
+        "dataset-label": ("reduce-tree", dict(tree, dataset=_write(
+            tmp_path / "d.json", {"samples": [["x1", 1], ["x2", True]]}))),
+        "g_hat": ("soafilter", dict(soaf, g_hat=[2, True])),
+    }[case]
+
+
+@pytest.mark.parametrize("case", ["int-config", "float-config", "class-label", "class-K",
+                                  "real-value", "dataset-label", "g_hat"])
+def test_json_bool_is_not_a_number(tmp_path, case):
+    command, cfg = _bool_case(tmp_path, case)
+    assert main([command, "--config", _write(tmp_path / "cfg.json", cfg)]) == EXIT_SCHEMA
+
+
+def test_config_number_too_large_for_a_float_is_schema_error(tmp_path):
+    cfg = _write(tmp_path / "cfg.json",
+                 {"class": _real_class_file(tmp_path, H_DESK), "alpha": 10 ** 400})
+    assert main(["dims", "--config", cfg]) == EXIT_SCHEMA
+
+
 def test_internal_error_is_not_a_precondition(tmp_path, monkeypatch, capsys):
     def broken(F):
         raise ValueError("boom")

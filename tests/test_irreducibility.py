@@ -6,9 +6,9 @@ import pytest
 from privreg import (INFINITE, build_reducing_tree, irreducibility_level,
                      is_l_irreducible, reduction_witness_tree, sfat2, soa,
                      soa_partial, validate_reducing_tree, validate_witness_tree)
-from privreg.classes import DomainError
+from privreg.classes import DomainError, canonical_restriction
 from privreg.oracles import irreducible_bruteforce
-from privreg.trees import TreeError
+from privreg.trees import KTree, TreeError, augmented_root
 
 from helpers import F_TOY, build_reducing_tree_rescan, class_stream, dclass
 
@@ -128,6 +128,26 @@ def test_validate_witness_tree_rejects():
         validate_witness_tree(keep, tree, 1)    # leaves keep sfat2 = 0
 
 
+def test_validators_reject_bad_labels_and_points():
+    F = dclass([(1, 1), (2, 2), (3, 3), (1, 3)], K=3)
+    leaf = KTree.leaf
+    full = {k: leaf() for k in (1, 2, 3)}
+    bad_witness = [
+        # eq[0][0] is 0, so a leaf walk alone would take the 0-leaf as an
+        # empty, reducing leaf and accept this tree.
+        KTree(0, {0: leaf(), 2: leaf(), 3: leaf()}),
+        KTree(0, {-1: leaf(), 2: leaf(), 3: leaf()}),   # -1 would alias label K
+        KTree(5, dict(full)),
+        KTree(0, {1: KTree(-1, dict(full)), 2: leaf(), 3: leaf()}),
+    ]
+    for tree in bad_witness:
+        with pytest.raises(TreeError):
+            validate_witness_tree(F, tree, 2)
+    for tree in (augmented_root(0, 0), augmented_root(0, 4), augmented_root(2, 1)):
+        with pytest.raises(TreeError):
+            validate_reducing_tree(F, tree, [1, 2])
+
+
 def test_build_reducing_tree_empty_pair():
     tree = build_reducing_tree(F_TOY, 0, 2, [1, 2, 4])
     assert tree.depth() == 1
@@ -197,10 +217,12 @@ def test_reducing_tree_leaves_yield_ancestor_sets():
                 if sfat2(F.restrict([(x, y)])) >= d:
                     continue
                 tree = build_reducing_tree(F, x, y, [2 ** t for t in range(d + 1)])
-                for path, av in tree.leaves():
-                    assert av == tree.ancestor_set(path)
+                for path, pairs, mask in tree.leaves(F):
+                    av = tree.ancestor_set(path)
+                    assert canonical_restriction(pairs) == av
+                    assert mask == F.restrict(av).mask
                     if len({i for i, _ in av}) < len(av):
                         # A point met twice with two labels: the class is empty.
-                        assert F.restrict(av).is_empty
+                        assert mask == 0
                         revisits += 1
     assert revisits > 0

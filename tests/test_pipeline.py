@@ -31,6 +31,8 @@ def test_config_validation():
     with pytest.raises(DomainError):
         RegLearnConfig(epsilon=0.5, delta=0.1, eta_bar=0.5, beta=0.2, ell_bar=1,
                        m=-3)
+    with pytest.raises(DomainError):     # a JSON true is a bool, not a count
+        RegLearnConfig(**dict(DESK, m=True))
 
 
 def test_compute_parameters_desk():

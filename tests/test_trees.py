@@ -1,9 +1,10 @@
 import pytest
 
 from privreg import KTree, TreeError
+from privreg.classes import canonical_restriction
 from privreg.trees import augmented_root, validate_kary
 
-from helpers import X2, full_node
+from helpers import X2, dclass, full_node
 
 
 def test_leaf_and_depth():
@@ -47,7 +48,7 @@ def test_ancestor_sets():
 
 def test_leaves_order_deterministic():
     t = full_node(0, 3)
-    paths = [p for p, _ in t.leaves()]
+    paths = [p for p, _, _ in t.leaves(dclass([(1, 1)], K=3))]
     assert paths == [(1,), (2,), (3,)]
 
 
@@ -55,26 +56,49 @@ def test_leaves_yield_ancestor_sets():
     t = full_node(1, 2)
     t.attach(full_node(0, 2), (2,))
     t.attach(full_node(1, 2), (2, 1))
-    assert list(t.leaves()) == [
-        ((1,), ((1, 1),)),
-        ((2, 1, 1), ((0, 1), (1, 1), (1, 2))),
-        ((2, 1, 2), ((0, 1), (1, 2))),
-        ((2, 2), ((0, 2), (1, 2))),
+    # Rows in bit order: (1,1), (1,2), (2,1), (2,2).
+    G = dclass([(1, 1), (1, 2), (2, 1), (2, 2)], K=2)
+    assert list(t.leaves(G)) == [
+        ((1,), ((1, 1),), 0b0101),
+        ((2, 1, 1), ((1, 2), (0, 1), (1, 1)), 0),
+        ((2, 1, 2), ((1, 2), (0, 1), (1, 2)), 0b0010),
+        ((2, 2), ((1, 2), (0, 2)), 0b1000),
     ]
-    assert all(av == t.ancestor_set(p) for p, av in t.leaves())
+    for H in (G, G.restrict([(0, 1)]), G.restrict([(0, 2), (1, 1)])):
+        for p, pairs, mask in t.leaves(H):
+            assert canonical_restriction(pairs) == t.ancestor_set(p)
+            assert mask == H.restrict(t.ancestor_set(p)).mask
 
 
 def test_validate_kary():
-    validate_kary(KTree.leaf(), 4)
-    validate_kary(full_node(0, 4), 4)
+    validate_kary(KTree.leaf(), 2, 4)
+    validate_kary(full_node(0, 4), 2, 4)
     bad = KTree(0, {1: KTree.leaf()})
     with pytest.raises(TreeError):
-        validate_kary(bad, 4)
-    validate_kary(augmented_root(0, 2), 4, augmented=True)
+        validate_kary(bad, 2, 4)
+    validate_kary(augmented_root(0, 2), 2, 4, augmented=True)
     with pytest.raises(TreeError):
-        validate_kary(KTree.leaf(), 4, augmented=True)
+        validate_kary(KTree.leaf(), 2, 4, augmented=True)
     with pytest.raises(TreeError):
-        validate_kary(full_node(0, 4), 4, augmented=True)
+        validate_kary(full_node(0, 4), 2, 4, augmented=True)
+    deep = full_node(0, 2)
+    deep.attach(full_node(1, 2), (2,))
+    validate_kary(deep, 2, 2)
+    for tree, augmented in ((KTree(0, {0: KTree.leaf(), 2: KTree.leaf()}), False),
+                            (KTree(0, {1: KTree.leaf(), 3: KTree.leaf()}), False),
+                            (full_node(2, 2), False),
+                            (augmented_root(0, 0), True),
+                            (augmented_root(-1, 1), True)):
+        with pytest.raises(TreeError):
+            validate_kary(tree, 2, 2, augmented=augmented)
+    for path in ((1,), (2, 1), (2, 2)):
+        for sub in (full_node(-1, 2), full_node(2, 2),
+                    KTree(0, {1: KTree.leaf(), -1: KTree.leaf()})):
+            tree = full_node(0, 2)
+            tree.attach(full_node(1, 2), (2,))
+            tree.attach(sub, path)
+            with pytest.raises(TreeError):
+                validate_kary(tree, 2, 2)
 
 
 def test_json_roundtrip():
