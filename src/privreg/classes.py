@@ -16,8 +16,11 @@ Results on a class and its subclasses are kept in the root's memo, keyed by
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 
 class DomainError(ValueError):
@@ -209,15 +212,19 @@ def label_count(eta: float) -> int:
     return math.ceil(2.0 / eta)
 
 
+def _buckets(ys: np.ndarray, K: int) -> np.ndarray:
+    """Bucket 1 + floor((y + 1)/2 * K) of each y in [-1,1].  y = 1, and values
+    just below 1 whose y + 1.0 rounds to 2.0, land one past the top bucket
+    and are clamped to K."""
+    return np.minimum(1 + np.floor((ys + 1.0) / 2.0 * K), K).astype(np.int64)
+
+
 def discretize_value(y: float, eta: float) -> int:
     """Round y in [-1,1] into one of K = ceil(2/eta) integer buckets."""
     K = label_count(eta)
     if not (-1.0 <= y <= 1.0):
         raise DomainError(f"value {y} outside [-1,1]")
-    k = 1 + math.floor((y + 1.0) / 2.0 * K)
-    # y = 1, and values just below 1 whose y + 1.0 rounds to 2.0, land one
-    # past the top bucket.
-    return K if k > K else k
+    return int(_buckets(np.float64(y), K))
 
 
 def discretize_class(H: RealClass, eta: float) -> DiscreteClass:
@@ -229,13 +236,44 @@ def discretize_class(H: RealClass, eta: float) -> DiscreteClass:
 
 def discretize_dataset(samples: Sequence, eta: float) -> list:
     """Per-sample label discretization; order preserved, errors carry the index."""
-    out = []
-    for idx, (i, y) in enumerate(samples):
-        try:
-            out.append((i, discretize_value(y, eta)))
-        except DomainError as e:
-            raise DomainError(f"sample {idx}: {e}") from None
-    return out
+    K = label_count(eta)
+    ys = np.array([y for _, y in samples], dtype=float)
+    bad = np.flatnonzero(~((ys >= -1.0) & (ys <= 1.0)))
+    if bad.size:
+        idx = int(bad[0])
+        raise DomainError(f"sample {idx}: value {samples[idx][1]} outside [-1,1]")
+    return list(zip([i for i, _ in samples], _buckets(ys, K).tolist()))
+
+
+def sample_cells(samples: Sequence, npoints: int, K: int) -> np.ndarray:
+    """Cell point_index * K + label - 1 of each discretized sample.  A point
+    index must be an integer in 0..npoints-1: any other would be counted in a
+    neighbouring cell."""
+    points = np.array([i for i, _ in samples])
+    if points.size and (points.dtype.kind not in "biu"
+                        or not ((points >= 0) & (points < npoints)).all()):
+        idx, i = next((idx, i) for idx, (i, _) in enumerate(samples)
+                      if not (isinstance(i, numbers.Integral) and 0 <= i < npoints))
+        raise DomainError(f"sample {idx}: point index {i!r} is not an integer in 0..{npoints - 1}")
+    return points * K + np.array([k for _, k in samples], dtype=np.int64) - 1
+
+
+def group_errors(F: DiscreteClass, cells: np.ndarray, n: int) -> np.ndarray:
+    """Row g, column r: the empirical error of F.hyps[r] on the g-th run of n
+    samples, given by their sample_cells.
+
+    A group's errors are its count histogram over the |X|*K cells times the
+    loss table |f(x) - k|, divided by n; the table is memoized on F."""
+    width = F.domain.size * F.K
+
+    def loss_table():
+        hyps = np.array(F.hyps, dtype=np.int64).reshape(len(F), F.domain.size)
+        return np.abs(hyps[:, :, None] - np.arange(1, F.K + 1)).reshape(len(F), width)
+
+    m = len(cells) // n
+    counts = np.bincount(cells + np.repeat(np.arange(m) * width, n),
+                         minlength=m * width).reshape(m, width)
+    return counts @ memoized(F.memo, ("loss_table", F.mask), loss_table).T / n
 
 
 def abs_error(f: Sequence, P: EmpiricalDistribution) -> float:

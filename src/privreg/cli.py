@@ -246,8 +246,8 @@ def _cmd_reglearn(cfg: dict, seed):
         epsilon=_number(cfg, "epsilon", float), delta=_number(cfg, "delta", float),
         eta_bar=_number(cfg, "eta_bar", float), beta=_number(cfg, "beta", float),
         ell_bar=_number(cfg, "ell_bar", int), chi=_number(cfg, "chi", int),
-        m=cfg.get("m"), n0=cfg.get("n0"), n1=cfg.get("n1"),
-        ell_prime=cfg.get("ell_prime"))
+        **{key: _number(cfg, key, int) for key in ("m", "n0", "n1", "ell_prime")
+           if key in cfg})
     out = reg_learn(cls, data, rc, seed=seed)
     body = {"h_hat": list(out.h_hat), "g_hat": list(out.g_hat),
             "L_hat": [list(h) for h in out.L_hat.hyps],

@@ -16,13 +16,14 @@ from dataclasses import dataclass
 
 from .classes import (DiscreteClass, DomainError, EmpiricalDistribution, RealClass,
                       abs_error, class_order, discretize_class, discretize_dataset,
-                      label_count, memoized, undisc_hypothesis)
+                      group_errors, label_count, memoized, sample_cells,
+                      undisc_hypothesis)
 from .dimensions import fat_alpha, sfat2
 from .dp import (BOTTOM, PrivacyParams, SelectionInstance, candidate_id,
                  noisy_opt_error, rng_stream, sparse_select)
 from .filtering import LadderSchedule, soa_filter
 from .irreducibility import soa
-from .tree_learner import ReduceTreeError, ReduceTreeParams, reduce_tree_reg
+from .tree_learner import ReduceTreeError, ReduceTreeParams, reduce_tree_rows
 
 _DESK_SCALE_CUTOFF = 10 ** 7
 
@@ -171,29 +172,24 @@ def reg_learn(H: RealClass, data, cfg: RegLearnConfig, seed: "int | None" = None
     if len(data) < need:
         raise DomainError(f"need {need} samples, got {len(data)}")
     disc = discretize_dataset(data[:need], cfg.eta_bar)
+    cells = sample_cells(disc, F.domain.size, params.K)
     T = disc[: params.n1]
-    groups = [disc[params.n1 + j * params.n0: params.n1 + (j + 1) * params.n0]
-              for j in range(params.m)]
 
     eta_hat = noisy_opt_error(F, EmpiricalDistribution.from_samples(T),
                               cfg.epsilon, params.n1, rng)
     alpha1 = eta_hat + params.alpha_delta / 2 + params.d * params.alpha_delta
     rt_params = ReduceTreeParams(alpha1, params.alpha_delta, params.ell_prime)
 
-    group_sets = []
-    s_sizes = []
-    abstained = []
+    errs = group_errors(F, cells[params.n1:], params.n0)
+    results, index = reduce_tree_rows(F, errs, rt_params)
+
+    # Each distinct result's candidates are merged once, for all its groups.
     id_to_class: dict = {}
-    for j, g in enumerate(groups):
-        emp = EmpiricalDistribution.from_samples(g)
-        try:
-            out = reduce_tree_reg(F, emp, rt_params)
-        except ReduceTreeError:
-            abstained.append(j)
-            s_sizes.append(0)
-            group_sets.append([])
+    merged = []
+    for out in results:
+        if isinstance(out, ReduceTreeError):
+            merged.append(None)
             continue
-        s_sizes.append(len(out.candidate_set))
         ids = set()
         for g_hat in out.candidate_set:
             for cid, L in _member_ids(F, g_hat, params.schedule):
@@ -201,7 +197,10 @@ def reg_learn(H: RealClass, data, cfg: RegLearnConfig, seed: "int | None" = None
                 prev = id_to_class.get(cid)
                 if prev is None or class_order(L) < class_order(prev):
                     id_to_class[cid] = L
-        group_sets.append(sorted(ids))
+        merged.append((len(out.candidate_set), sorted(ids)))
+    group_sets = [[] if merged[r] is None else merged[r][1] for r in index]
+    s_sizes = [0 if merged[r] is None else merged[r][0] for r in index]
+    abstained = [j for j, r in enumerate(index) if merged[r] is None]
 
     sparsity = max(1, max((len(s) for s in group_sets), default=1))
     inst = SelectionInstance(group_sets, sparsity)

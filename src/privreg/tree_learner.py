@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .classes import (DiscreteClass, DomainError, EmpiricalDistribution, abs_error,
                       memoized)
 from .dimensions import sfat2
@@ -57,34 +59,62 @@ class ReduceTreeOutput:
 
 def level_class(F: DiscreteClass, P: EmpiricalDistribution, alpha: float) -> DiscreteClass:
     """The subclass of F with empirical error at most alpha."""
-    return F.with_mask(_below([F.bits.bit[f] for f in F.hyps],
-                              [abs_error(f, P) for f in F.hyps], alpha))
+    masks, _ = _level_masks(F, np.array([[abs_error(f, P) for f in F.hyps]]), [alpha])
+    return F.with_mask(masks[0][0])
 
 
-def _below(bits: list, errs: list, alpha: float) -> int:
-    """Mask of the hypotheses whose errors (errs, aligned with bits) are at
-    most alpha."""
-    return sum(b for b, e in zip(bits, errs) if e <= alpha + _ERR_SLACK)
+def _level_masks(F: DiscreteClass, errs: np.ndarray, alphas: list) -> tuple:
+    """For each row of errs (the errors of F.hyps in order on one dataset) and
+    each alpha, the mask of F's hypotheses with error at most alpha; rows that
+    give the same masks share one entry.  Returns (masks, index): row r's
+    masks are masks[index[r]], one int per alpha."""
+    within = errs[:, None, :] <= np.array(alphas)[:, None] + _ERR_SLACK
+    patterns: dict = {}
+    index = [patterns.setdefault(row.tobytes(), len(patterns)) for row in within]
+    bits = [F.bits.bit[f] for f in F.hyps]
+    masks = [tuple(sum(b for b, keep in zip(bits, row) if keep)
+                   for row in np.frombuffer(p, dtype=bool).reshape(len(alphas), -1).tolist())
+             for p in patterns]
+    return masks, index
 
 
 def reduce_tree_reg(F: DiscreteClass, P_hat: EmpiricalDistribution,
                     params: ReduceTreeParams) -> ReduceTreeOutput:
+    results, _ = reduce_tree_rows(F, np.array([[abs_error(f, P_hat) for f in F.hyps]]), params)
+    if isinstance(results[0], ReduceTreeError):
+        raise results[0]
+    return results[0]
+
+
+def reduce_tree_rows(F: DiscreteClass, errs: np.ndarray, params: ReduceTreeParams):
+    """reduce_tree_reg on each of several datasets, given as the rows of errs:
+    row r holds the empirical errors of F.hyps, in order, on dataset r.
+
+    Returns (results, index): dataset r's result is results[index[r]], a
+    ReduceTreeOutput or the ReduceTreeError its run raised.
+    """
     if F.is_empty:
         raise DomainError("reduce_tree_reg requires a nonempty class")
     d = sfat2(F)
     # Alpha enters only through the level classes at the 2(d+1) thresholds the
     # run can touch, so runs inducing the same subclasses share one result.
-    # levels[t] is at alpha(t+1); out_levels[t] is 2*alpha_delta/3 below it.
-    # Each hypothesis's error is computed once and thresholded at each of
-    # them; the level classes themselves are built only on a memo miss.
-    errs = [abs_error(f, P_hat) for f in F.hyps]
-    bits = [F.bits.bit[f] for f in F.hyps]
-    levels = tuple(_below(bits, errs, params.alpha(t)) for t in range(1, d + 3))
-    out_levels = tuple(_below(bits, errs, params.alpha(t) - 2 * params.alpha_delta / 3)
-                       for t in range(1, d + 2))
-    key = ("reduce_tree_reg", F.mask, params.ell_prime, levels, out_levels)
-    return memoized(F.memo, key, lambda: _reduce_tree(
-        tuple(map(F.with_mask, levels)), tuple(map(F.with_mask, out_levels)), params, d))
+    # The first d+2 masks are at alpha(1..d+2); the other d+1 are
+    # 2*alpha_delta/3 below alpha(1..d+1).  The level classes themselves are
+    # built only on a memo miss.
+    alphas = ([params.alpha(t) for t in range(1, d + 3)]
+              + [params.alpha(t) - 2 * params.alpha_delta / 3 for t in range(1, d + 2)])
+    masks, index = _level_masks(F, errs, alphas)
+    results = []
+    for m in masks:
+        levels, out_levels = m[:d + 2], m[d + 2:]
+        key = ("reduce_tree_reg", F.mask, params.ell_prime, levels, out_levels)
+        try:
+            results.append(memoized(F.memo, key, lambda: _reduce_tree(
+                tuple(map(F.with_mask, levels)), tuple(map(F.with_mask, out_levels)),
+                params, d)))
+        except ReduceTreeError as e:
+            results.append(e)
+    return results, index
 
 
 def _max_dim_leaves(tree: KTree, level: DiscreteClass):

@@ -2,7 +2,14 @@
 
 import random
 
-from privreg import DiscreteClass, Domain, KTree, RealClass, reduction_witness_tree, sfat2
+from privreg import (BOTTOM, DiscreteClass, Domain, EmpiricalDistribution, KTree,
+                     PrivacyParams, RealClass, ReduceTreeError, ReduceTreeParams,
+                     RunFailure, SelectionInstance, compute_parameters,
+                     discretize_class, discretize_dataset, noisy_opt_error,
+                     reduce_tree_reg, reduction_witness_tree, reg_learn, rng_stream,
+                     sfat2, soa, sparse_select, undisc_hypothesis)
+from privreg.classes import class_order
+from privreg.pipeline import _member_ids
 from privreg.trees import augmented_root
 
 
@@ -88,3 +95,73 @@ def sfat2_tuples(F: DiscreteClass) -> int:
         return best
 
     return rec(F.hyps)
+
+
+def reg_learn_per_group(H: RealClass, data, cfg, seed: int):
+    """Reference for reg_learn: each group's errors from its own empirical
+    distribution, through reduce_tree_reg, one group at a time.  Returns
+    (transcript, g_hat, L_hat rows), g_hat and L_hat None on BOTTOM."""
+    rng = rng_stream(seed)
+    params = compute_parameters(H, cfg)
+    F = discretize_class(H, cfg.eta_bar)
+    need = params.n1 + params.m * params.n0
+    if callable(data):
+        data = data(need, rng)
+    disc = discretize_dataset(data[:need], cfg.eta_bar)
+    T = disc[: params.n1]
+    groups = [disc[params.n1 + j * params.n0: params.n1 + (j + 1) * params.n0]
+              for j in range(params.m)]
+
+    eta_hat = noisy_opt_error(F, EmpiricalDistribution.from_samples(T),
+                              cfg.epsilon, params.n1, rng)
+    alpha1 = eta_hat + params.alpha_delta / 2 + params.d * params.alpha_delta
+    rt_params = ReduceTreeParams(alpha1, params.alpha_delta, params.ell_prime)
+
+    group_sets, s_sizes, abstained = [], [], []
+    id_to_class: dict = {}
+    for j, g in enumerate(groups):
+        try:
+            out = reduce_tree_reg(F, EmpiricalDistribution.from_samples(g), rt_params)
+        except ReduceTreeError:
+            abstained.append(j)
+            s_sizes.append(0)
+            group_sets.append([])
+            continue
+        s_sizes.append(len(out.candidate_set))
+        ids = set()
+        for g_hat in out.candidate_set:
+            for cid, L in _member_ids(F, g_hat, params.schedule):
+                ids.add(cid)
+                prev = id_to_class.get(cid)
+                if prev is None or class_order(L) < class_order(prev):
+                    id_to_class[cid] = L
+        group_sets.append(sorted(ids))
+
+    sparsity = max(1, max((len(s) for s in group_sets), default=1))
+    inst = SelectionInstance(group_sets, sparsity)
+    winner = sparse_select(inst, PrivacyParams(cfg.epsilon, cfg.delta), rng)
+    transcript = {
+        "eta_hat": eta_hat,
+        "alpha1": alpha1,
+        "s_sizes": s_sizes,
+        "r_sizes": [len(s) for s in group_sets],
+        "abstained": abstained,
+        "sparsity": sparsity,
+        "truncated_users": inst.truncated_users,
+        "winner": None if winner is BOTTOM else winner,
+    }
+    if winner is BOTTOM:
+        return transcript, None, None
+    L_hat = id_to_class[winner]
+    return transcript, soa(L_hat), L_hat.hyps
+
+
+def reg_learn_result(H: RealClass, data, cfg, seed: int):
+    """reg_learn's (transcript, g_hat, L_hat rows), g_hat and L_hat None on
+    BOTTOM, the form reg_learn_per_group returns."""
+    try:
+        out = reg_learn(H, data, cfg, seed=seed)
+    except RunFailure as failure:
+        return failure.transcript, None, None
+    assert undisc_hypothesis(out.g_hat, out.params.K) == out.h_hat
+    return out.transcript, out.g_hat, out.L_hat.hyps

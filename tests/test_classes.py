@@ -3,6 +3,7 @@ import itertools
 import random
 import weakref
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -12,7 +13,9 @@ from privreg import (DiscreteClass, Domain, DomainError, EmpiricalDistribution,
                      discretize_class, discretize_dataset, discretize_value,
                      filter_step, label_count, min_error, reduce_tree_reg, sfat2,
                      soa_filter, sup_distance, undisc_hypothesis)
-from privreg.classes import canonical_restriction, enumerate_restriction_subclasses
+from privreg.classes import (canonical_restriction, enumerate_restriction_subclasses,
+                             group_errors, sample_cells)
+from privreg.tree_learner import _level_masks
 
 from helpers import F_TOY, X1, X2, dclass, make_domain
 
@@ -61,6 +64,39 @@ def test_discretize_dataset():
     assert discretize_dataset([], 0.5) == []
     with pytest.raises(DomainError, match="sample 1"):
         discretize_dataset([(0, 0.0), (0, 2.0)], 0.5)
+
+
+@given(st.lists(st.floats(min_value=-1, max_value=1), max_size=20),
+       st.sampled_from([0.9, 0.5, 0.3, 0.1]))
+@example([1.0, -1.0, 0.9999999999999999], 0.9)
+def test_discretize_dataset_matches_discretize_value(ys, eta):
+    samples = [(j % 3, y) for j, y in enumerate(ys)]
+    expected = [(i, discretize_value(y, eta)) for i, y in samples]
+    assert repr(discretize_dataset(samples, eta)) == repr(expected)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_group_errors_match_abs_error(data):
+    nx, K = data.draw(st.integers(2, 5)), data.draw(st.integers(1, 8))
+    label = st.integers(1, K)
+    F = DiscreteClass(make_domain(nx), K, tuple(data.draw(
+        st.lists(st.tuples(*[label] * nx), min_size=1, max_size=10))))
+    n, m = data.draw(st.integers(1, 60)), data.draw(st.integers(1, 3))
+    samples = data.draw(st.lists(st.tuples(st.integers(0, nx - 1), label),
+                                 min_size=n * m, max_size=n * m))
+    errs = group_errors(F, sample_cells(samples, nx, K), n)
+    ref = np.array([[abs_error(f, EmpiricalDistribution.from_samples(samples[g * n:(g + 1) * n]))
+                     for f in F.hyps] for g in range(m)])
+    assert errs.shape == ref.shape
+    assert np.abs(errs - ref).max() <= 1e-12
+    # Thresholds at every error, between neighbouring errors, and on a grid.
+    values = np.unique(ref)
+    alphas = (values.tolist() + ((values[1:] + values[:-1]) / 2).tolist()
+              + np.linspace(-0.5, K, 23).tolist())
+    (got, got_index), (want, want_index) = (_level_masks(F, errs, alphas),
+                                            _level_masks(F, ref, alphas))
+    assert [got[r] for r in got_index] == [want[r] for r in want_index]
 
 
 def test_restrict_examples():

@@ -193,6 +193,25 @@ def test_reglearn_bottom_exit_code(tmp_path):
     assert report["body"]["outputs"]["transcript"]["winner"] is None
 
 
+@pytest.mark.parametrize("m, code", [(5, EXIT_BOTTOM), (5.0, EXIT_BOTTOM), (2.5, EXIT_SCHEMA),
+                                     ("five", EXIT_SCHEMA), (True, EXIT_SCHEMA)])
+def test_reglearn_override_must_be_an_integer(tmp_path, m, code):
+    # The BOTTOM configuration above, with m given as an integral float,
+    # a fraction, a string and a JSON true.
+    from privreg.classes import RealClass
+    H = RealClass(H_DESK.domain, ((-0.75, -0.75), (-0.75, 0.25),
+                                  (0.25, -0.75), (0.25, 0.25)))
+    cfg = _write(tmp_path / "cfg.json", {
+        "class": _real_class_file(tmp_path, H),
+        "dataset": _dataset_file(tmp_path, _desk_samples(80, 1), H.domain),
+        "epsilon": 1.0, "delta": 0.05, "eta_bar": 0.5, "beta": 0.2, "ell_bar": 1,
+        "m": m, "n0": 10, "n1": 20, "ell_prime": 6})
+    got, report = _run(tmp_path, ["reglearn", "--config", cfg, "--seed", "0"])
+    assert got == code
+    if code == EXIT_BOTTOM:
+        assert len(report["body"]["outputs"]["transcript"]["s_sizes"]) == 5
+
+
 def test_reglearn_success_and_determinism(tmp_path):
     cls = _real_class_file(tmp_path, H_DESK)
     data = _dataset_file(tmp_path, _desk_samples(2600, 2), H_DESK.domain)
