@@ -6,6 +6,9 @@ set of distinct representatives per dimension small.  soa_filter uses those
 representatives plus reducing trees to turn a hypothesis that is merely close
 to the labeling of a stable subclass into a small set of classes guaranteed to
 contain one that depends only on that subclass.
+
+soa_filter keeps each reducing tree's nonempty leaves, (pairs, mask), in the
+root's memo under ("reducing_leaves", mask, x_a, y, ell_seq), freed with it.
 """
 
 from __future__ import annotations
@@ -38,6 +41,8 @@ class LadderSchedule:
             raise DomainError("ell_bar must be >= 1")
         if self.chi < 1:
             raise DomainError("chi must be >= 1")
+        if self.r_max < 0 or self.tau_max < 0:
+            raise DomainError("r_max and tau_max must be >= 0")
 
     def ell(self, r: int, t: int) -> int:
         return self.ell_bar * (r + 2) ** t
@@ -119,7 +124,8 @@ def _filter_step(F: DiscreteClass, schedule: LadderSchedule, r_max: int,
 def soa_filter(F: DiscreteClass, g_hat: tuple, schedule: LadderSchedule,
                trace=None) -> RepSet:
     """trace, if given, is a list that receives (j, s, a) for every restriction
-    set queued at stage s of pass j; tracing bypasses the memo."""
+    set queued at stage s of pass j; tracing bypasses the memo of results, not
+    that of reducing-tree leaves, which does not depend on g_hat."""
     d = sfat2(F)
     if d < 0:
         raise DomainError("soa_filter requires a nonempty class")
@@ -140,6 +146,9 @@ def _soa_filter(F: DiscreteClass, g_hat: tuple, schedule: LadderSchedule, d: int
     for j in range(d + 1):
         r = schedule.r_max - j * r0 - 1
         tau = j * tau0 + 2 + schedule.chi
+        # scans[t]: (L, soa(L)) for the ell(r, t)-irreducible L of sfat2 d - t.
+        scans = [[(L, soa(L)) for L in sorted(filtered.levels[d - t], key=class_order)
+                  if is_l_irreducible(L, schedule.ell(r, t))] for t in range(d + 1)]
         # Restriction set -> F restricted to it; only nonempty classes queue.
         queue = {(): F}
         for s in range(d + 1):
@@ -151,23 +160,20 @@ def _soa_filter(F: DiscreteClass, g_hat: tuple, schedule: LadderSchedule, d: int
                 t = d - sfat2(H)
                 gaps = [_point_gap(soa_h[i], g_hat[i]) for i in range(F.domain.size)]
                 if max(gaps) <= tau:
-                    ell_rt = schedule.ell(r, t)
-                    for L in sorted(filtered.levels[d - t], key=class_order):
-                        if not is_l_irreducible(L, ell_rt):
-                            continue
-                        sl = soa(L)
-                        if all(sl[i] == y for i, y in a):
-                            result[L.mask] = L
-                            break
+                    L = next((L for L, sl in scans[t] if all(sl[i] == y for i, y in a)), None)
+                    if L is not None:
+                        result[L.mask] = L
                     continue
                 x_a = next(i for i in range(F.domain.size) if gaps[i] >= tau + 1)
                 k = g_hat[x_a]
-                ell_seq = [schedule.ell(r, t + tt) for tt in range(d - t + 1)]
+                ell_seq = tuple(schedule.ell(r, t + tt) for tt in range(d - t + 1))
                 for y in range(max(1, k - tau + 1), min(F.K, k + tau - 1) + 1):
-                    tree = build_reducing_tree(H, x_a, y, ell_seq,
-                                               require_reduction=False)
-                    for _, pairs, m in tree.leaves(H):
-                        if m and all(abs(g_hat[i] - yy) <= tau - 1 for i, yy in pairs):
+                    key = ("reducing_leaves", H.mask, x_a, y, ell_seq)
+                    leaves = memoized(H.memo, key, lambda: tuple(
+                        (pairs, m) for _, pairs, m in build_reducing_tree(
+                            H, x_a, y, ell_seq, require_reduction=False).leaves(H) if m))
+                    for pairs, m in leaves:
+                        if all(abs(g_hat[i] - yy) <= tau - 1 for i, yy in pairs):
                             next_queue[canonical_restriction(a + pairs)] = H.with_mask(m)
             queue = next_queue
     members = [L for L in result.values()

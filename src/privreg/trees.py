@@ -94,13 +94,6 @@ class KTree:
             "children": {str(k): c.to_json(domain) for k, c in sorted(self.children.items())},
         }
 
-    @staticmethod
-    def from_json(obj, domain) -> "KTree":
-        if obj is None:
-            return KTree.leaf()
-        children = {int(k): KTree.from_json(v, domain) for k, v in obj["children"].items()}
-        return KTree(domain.index(obj["point"]), children)
-
 
 def augmented_root(point_index: int, edge_label: int) -> KTree:
     """Root of an augmented tree: a single child reached via `edge_label`."""

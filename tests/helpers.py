@@ -4,11 +4,13 @@ import random
 
 from privreg import (BOTTOM, DiscreteClass, Domain, EmpiricalDistribution, KTree,
                      PrivacyParams, RealClass, ReduceTreeError, ReduceTreeParams,
-                     RunFailure, SelectionInstance, compute_parameters,
-                     discretize_class, discretize_dataset, noisy_opt_error,
-                     reduce_tree_reg, reduction_witness_tree, reg_learn, rng_stream,
-                     sfat2, soa, sparse_select, undisc_hypothesis)
-from privreg.classes import class_order
+                     RunFailure, SelectionInstance, build_reducing_tree,
+                     compute_parameters, discretize_class, discretize_dataset,
+                     filter_step, is_l_irreducible, noisy_opt_error, reduce_tree_reg,
+                     reduction_witness_tree, reg_learn, rng_stream, sfat2, soa,
+                     sparse_select, sup_distance, undisc_hypothesis)
+from privreg.classes import canonical_restriction, class_order
+from privreg.irreducibility import soa_partial
 from privreg.pipeline import _member_ids
 from privreg.trees import augmented_root
 
@@ -54,6 +56,14 @@ def full_node(point_index: int, K: int) -> KTree:
     return KTree(point_index, {k: KTree.leaf() for k in range(1, K + 1)})
 
 
+def ktree_from_json(obj, domain) -> KTree:
+    """The tree that KTree.to_json(domain) wrote as obj."""
+    if obj is None:
+        return KTree.leaf()
+    children = {int(k): ktree_from_json(v, domain) for k, v in obj["children"].items()}
+    return KTree(domain.index(obj["point"]), children)
+
+
 def build_reducing_tree_rescan(H: DiscreteClass, x_index: int, y: int, ell_seq) -> KTree:
     """Reference for build_reducing_tree: rescan every leaf, rebuilding its
     class from the root, until no leaf takes a witness tree."""
@@ -72,6 +82,50 @@ def build_reducing_tree_rescan(H: DiscreteClass, x_index: int, y: int, ell_seq) 
             tree.attach(sub, path)
             changed = True
     return tree
+
+
+def soa_filter_rebuild(F: DiscreteClass, g_hat: tuple, schedule, trace=None) -> tuple:
+    """Reference for soa_filter: a fresh reducing tree for every queued
+    (H, x_a, y), and a fresh sorted, per-entry scan of the filtered classes.
+    Returns the members in canonical order; trace as in soa_filter."""
+    d = sfat2(F)
+    r0 = schedule.r_max // (d + 1)
+    tau0 = schedule.tau_max // (d + 1)
+    filtered = filter_step(F, schedule, schedule.r_max)
+    result: dict = {}
+    for j in range(d + 1):
+        r = schedule.r_max - j * r0 - 1
+        tau = j * tau0 + 2 + schedule.chi
+        queue = {(): F}
+        for s in range(d + 1):
+            if trace is not None:
+                trace.extend((j, s, a) for a in queue)
+            next_queue: dict = {}
+            for a, H in queue.items():
+                soa_h = soa_partial(H)
+                t = d - sfat2(H)
+                gaps = [float("inf") if soa_h[i] is None else abs(soa_h[i] - g_hat[i])
+                        for i in range(F.domain.size)]
+                if max(gaps) <= tau:
+                    for L in sorted(filtered.levels[d - t], key=class_order):
+                        if not is_l_irreducible(L, schedule.ell(r, t)):
+                            continue
+                        sl = soa(L)
+                        if all(sl[i] == y for i, y in a):
+                            result[L.mask] = L
+                            break
+                    continue
+                x_a = next(i for i in range(F.domain.size) if gaps[i] >= tau + 1)
+                k = g_hat[x_a]
+                ell_seq = [schedule.ell(r, t + tt) for tt in range(d - t + 1)]
+                for y in range(max(1, k - tau + 1), min(F.K, k + tau - 1) + 1):
+                    tree = build_reducing_tree(H, x_a, y, ell_seq, require_reduction=False)
+                    for _, pairs, m in tree.leaves(H):
+                        if m and all(abs(g_hat[i] - yy) <= tau - 1 for i, yy in pairs):
+                            next_queue[canonical_restriction(a + pairs)] = H.with_mask(m)
+            queue = next_queue
+    members = [L for L in result.values() if sup_distance(soa(L), g_hat) <= schedule.tau_max]
+    return tuple(sorted(members, key=class_order))
 
 
 def sfat2_tuples(F: DiscreteClass) -> int:

@@ -7,7 +7,7 @@ import privreg.cli
 from privreg.cli import (EXIT_BOTTOM, EXIT_INTERNAL, EXIT_OK, EXIT_PRECONDITION,
                          EXIT_REDUCE_TREE_ERROR, EXIT_SCHEMA, main)
 
-from helpers import F_TOY, H_DESK, dclass
+from helpers import F_DESK, F_TOY, H_DESK, dclass
 
 
 def _write(path, obj):
@@ -173,6 +173,21 @@ def test_irred_large_level_on_constant_point_class(tmp_path):
     code, report = _run(tmp_path, ["irred", "--config", cfg])
     assert code == EXIT_OK
     assert report["body"]["outputs"] == {"l": 2401, "irreducible": False, "level": 0}
+
+
+@pytest.mark.parametrize("r_max, tau_max, code", [(-3, 3, EXIT_PRECONDITION),
+                                                  (3, -3, EXIT_PRECONDITION), (3, 3, EXIT_OK)])
+def test_soafilter_negative_schedule_is_a_precondition(tmp_path, capsys, r_max, tau_max, code):
+    cfg = _write(tmp_path / "cfg.json", {
+        "class": _discrete_class_file(tmp_path, F_DESK), "g_hat": [2, 2],
+        "ell_bar": 1, "r_max": r_max, "tau_max": tau_max, "chi": 1})
+    code_out, report = _run(tmp_path, ["soafilter", "--config", cfg])
+    assert code_out == code
+    if code == EXIT_OK:
+        assert report["body"]["outputs"]["members"]
+    else:
+        assert report is None
+        assert "r_max and tau_max must be >= 0" in capsys.readouterr().err
 
 
 def test_reglearn_bottom_exit_code(tmp_path):

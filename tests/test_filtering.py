@@ -1,13 +1,15 @@
 import itertools
+import random
 
 import pytest
 
-from privreg import (LadderSchedule, filter_step, is_l_irreducible, sfat2, soa,
-                     soa_filter, sup_distance)
-from privreg.classes import DomainError
+import privreg.filtering
+from privreg import (DiscreteClass, LadderSchedule, filter_step, is_l_irreducible, sfat2,
+                     soa, soa_filter, sup_distance)
+from privreg.classes import DomainError, enumerate_restriction_subclasses
 from privreg.filtering import irreducible_subclasses
 
-from helpers import F_TOY, class_stream, dclass
+from helpers import F_DESK, F_TOY, class_stream, dclass, soa_filter_rebuild
 
 
 def test_schedule():
@@ -18,6 +20,22 @@ def test_schedule():
         LadderSchedule(0, 3, 12, 5)
     with pytest.raises(DomainError):
         LadderSchedule(1, 3, 12, 0)
+
+
+def test_schedule_rejects_negative_r_max():
+    # r_max = 0, the smallest allowed, gives r = -1 on every pass of
+    # soa_filter, so each level ell(r, t) is ell_bar.
+    with pytest.raises(DomainError, match="r_max"):
+        LadderSchedule(1, -3, 3, 1)
+    sched = LadderSchedule(1, 0, 3, 1)
+    assert any(filter_step(F_DESK, sched, 0).levels.values())
+    assert soa_filter(F_DESK, (2, 2), sched).members
+
+
+def test_schedule_rejects_negative_tau_max():
+    with pytest.raises(DomainError, match="tau_max"):
+        LadderSchedule(1, 3, -3, 1)
+    assert soa_filter(F_DESK, soa(F_DESK.restrict([(0, 1)])), LadderSchedule(1, 3, 0, 1)).members
 
 
 def test_filter_step_singleton():
@@ -100,3 +118,65 @@ def test_soa_filter_trace():
     rep = soa_filter(F, (1,), sched, trace=trace)
     assert (0, 0, ()) in trace
     assert rep.members == soa_filter(F, (1,), sched).members
+
+
+def _g_hats(F, rng: random.Random, count: int) -> list:
+    """Labelings of random 1-irreducible subclasses of F, each label moved by
+    at most 1."""
+    stable = [H for H in enumerate_restriction_subclasses(F) if is_l_irreducible(H, 1)]
+    return [tuple(min(F.K, max(1, v + rng.randint(-1, 1))) for v in soa(rng.choice(stable)))
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("tau0, chi", [(12, 5), (1, 1)])
+def test_soa_filter_matches_rebuild(tau0, chi):
+    # The learner's schedule and a tight one, against a reference that
+    # builds every reducing tree afresh.  Each class is run cold, then warm
+    # with its g_hats in the reverse order.
+    rng = random.Random(73)
+    classes = list(itertools.islice(class_stream(73, nx=4, K=5, min_h=8, max_h=15), 8))
+    assert 3 in map(sfat2, classes)
+    runs = []
+    for F in classes:
+        d = sfat2(F)
+        sched = LadderSchedule(1, d + 1, tau0 * (d + 1), chi)
+        ref_F = DiscreteClass(F.domain, F.K, F.hyps)
+        expected = {}
+        for g in _g_hats(F, rng, 4):
+            trace = []
+            expected[g] = ([L.hyps for L in soa_filter_rebuild(ref_F, g, sched, trace)], trace)
+        for order in (list(expected), list(expected)[::-1]):
+            for g in order:
+                trace = []
+                members = [L.hyps for L in soa_filter(F, g, sched, trace=trace).members]
+                assert (members, trace) == expected[g]
+                assert [L.hyps for L in soa_filter(F, g, sched).members] == members
+        runs.extend(expected.values())
+    assert any(members for members, _ in runs)
+    assert any(s > 0 for _, trace in runs for _, s, _ in trace)
+
+
+def test_soa_filter_reuses_reducing_trees(monkeypatch):
+    # Under the learner's schedule the gap tests pass for every g_hat, so
+    # four g_hats ask for the same reducing trees.  A memo keyed on g_hat,
+    # or none, would build every one of them again.
+    built = []
+    real = privreg.filtering.build_reducing_tree
+
+    def counting(*args, **kw):
+        built.append(args)
+        return real(*args, **kw)
+
+    monkeypatch.setattr(privreg.filtering, "build_reducing_tree", counting)
+    F = next(F for F in class_stream(73, nx=4, K=5, min_h=8, max_h=15) if sfat2(F) == 3)
+    sched = LadderSchedule(1, 4, 48, 5)
+    g_hats = [(1, 2, 3, 4), (5, 4, 3, 2), (2, 2, 2, 2), (4, 1, 5, 3)]
+    counts = []
+    for g in g_hats:
+        before = len(built)
+        soa_filter(F, g, sched)
+        counts.append(len(built) - before)
+    assert counts[0] > 0 and all(c < counts[0] for c in counts[1:])
+    before = len(built)
+    soa_filter(F, g_hats[0], sched, trace=[])
+    assert len(built) == before
