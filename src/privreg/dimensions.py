@@ -15,6 +15,11 @@ mask.  A depth-r tree needs 2^r hypotheses, so sfat2(G) <= floor(log2 |G|):
 the search over G's splits stops once it reaches that cap, and skips any
 split whose smaller side has fewer than 2^best rows, since such a split
 cannot beat the best one found so far.  Both prunings are exact.
+
+fat_alpha runs on masks too: each point keeps the distinct (up, down) row
+masks of its thresholds, less any pair inside another on both sides, and the
+search splits every cell of a partition of the rows by one pair per point, in
+point order.  A set is shattered exactly when every cell stays nonempty.
 """
 
 from __future__ import annotations
@@ -26,8 +31,12 @@ from .classes import DiscreteClass, DomainError, RealClass, memoized
 
 def sfat2(F: DiscreteClass) -> int:
     """Sequential fat-shattering dimension at scale 2; -1 for the empty class."""
-    splits, dims = _context(F)
-    return _sfat(splits, dims, F.mask)
+    return _sfat(*_context(F), F.mask)
+
+
+def sfat2_mask(F: DiscreteClass, mask: int) -> int:
+    """sfat2 of the rows in mask of F's root, with no class built for them."""
+    return _sfat(*_context(F), mask)
 
 
 def _context(F: DiscreteClass) -> tuple:
@@ -142,20 +151,17 @@ def verify_certificate(F: DiscreteClass, cert: CertNode, alpha: float = 2.0) -> 
 
 def _midpoint_thresholds(values) -> list:
     """Candidate witness values: midpoints of realized value pairs."""
-    vals = sorted(set(values))
-    out = set()
-    for a in vals:
-        for b in vals:
-            out.add((a + b) / 2.0)
-    return sorted(out)
+    vals = set(values)
+    return sorted({(a + b) / 2.0 for a in vals for b in vals})
 
 
 def fat_alpha(H: RealClass, alpha: float) -> int:
-    """Exact i.i.d. fat-shattering dimension at margin alpha.
+    """Exact i.i.d. fat-shattering dimension at margin alpha, memoized on H.
 
-    Searches point subsets with per-point thresholds drawn from midpoints of
-    realized value pairs, with early pruning on unsplittable points.  The
-    result is memoized on H.
+    A threshold s, a midpoint of realized values at point i, sends the rows
+    with h[i] >= s + alpha up and those with h[i] <= s - alpha down.  A branch
+    of the cell-refinement search stops once its points left or its smallest
+    cell cannot beat the best depth.
     """
     if alpha <= 0:
         raise DomainError("alpha must be positive")
@@ -165,44 +171,34 @@ def fat_alpha(H: RealClass, alpha: float) -> int:
 def _fat_alpha(H: RealClass, alpha: float) -> int:
     if not H.hyps:
         return -1
-    n = H.domain.size
-    hyps = H.hyps
-
-    usable = []
-    for i in range(n):
-        cands = [s for s in _midpoint_thresholds(h[i] for h in hyps)
-                 if any(h[i] >= s + alpha for h in hyps)
-                 and any(h[i] <= s - alpha for h in hyps)]
-        if cands:
-            usable.append((i, cands))
-
-    def shattered(points_thresholds) -> bool:
-        d = len(points_thresholds)
-        for b in range(2 ** d):
-            bits = [(b >> j) & 1 for j in range(d)]
-            if not any(
-                all((h[i] >= s + alpha) if bit else (h[i] <= s - alpha)
-                    for (i, s), bit in zip(points_thresholds, bits))
-                for h in hyps
-            ):
-                return False
-        return True
-
+    rows = H.hyps
+    points = []
+    for i in range(H.domain.size):
+        pairs = dict.fromkeys(
+            (sum(1 << j for j, h in enumerate(rows) if h[i] >= s + alpha),
+             sum(1 << j for j, h in enumerate(rows) if h[i] <= s - alpha))
+            for s in _midpoint_thresholds(h[i] for h in rows))
+        # A pair inside another on both sides shatters no set the other does not.
+        kept = [(u, d) for u, d in pairs if u and d and not any(
+            (u, d) != q and u & q[0] == u and d & q[1] == d for q in pairs)]
+        if kept:
+            points.append(kept)
     best = 0
 
-    def search_exact(start: int, chosen: list) -> None:
+    def search(start: int, cells: list, chosen: int) -> None:
         nonlocal best
-        best = max(best, len(chosen))
-        if len(chosen) + (len(usable) - start) <= best:
+        best = max(best, chosen)
+        # A cell of c rows splits at most floor(log2 c) more times.
+        room = min(c.bit_count() for c in cells).bit_length() - 1
+        if chosen + min(len(points) - start, room) <= best:
             return
-        for idx in range(start, len(usable)):
-            i, cands = usable[idx]
-            for s in cands:
-                trial = chosen + [(i, s)]
-                if shattered(trial):
-                    search_exact(idx + 1, trial)
+        for idx in range(start, len(points)):
+            for up, down in points[idx]:
+                split = [c & side for c in cells for side in (up, down)]
+                if all(split):
+                    search(idx + 1, split, chosen + 1)
 
-    search_exact(0, [])
+    search(0, [(1 << len(rows)) - 1], 0)
     return best
 
 

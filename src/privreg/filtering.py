@@ -13,6 +13,7 @@ root's memo under ("reducing_leaves", mask, x_a, y, ell_seq), freed with it.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 
@@ -50,7 +51,7 @@ class LadderSchedule:
 
 @dataclass
 class FilteredSets:
-    levels: dict          # sfat2 value b -> tuple of classes, insertion order
+    levels: dict          # sfat2 value b -> tuple of classes, class order
     rep: dict             # class hyps -> representative class
 
     def representative(self, H: DiscreteClass) -> DiscreteClass:
@@ -108,16 +109,10 @@ def _filter_step(F: DiscreteClass, schedule: LadderSchedule, r_max: int,
             for H in members[r]:
                 if H.mask in upper or H.hyps in rep:
                     continue
-                found = None
-                for L in sorted(levels[b], key=class_order):
-                    if _agreement_restriction(F, L, H, schedule.ell(r, t) - 1, b) is not None:
-                        found = L
-                        break
-                if found is not None:
-                    rep[H.hyps] = found
-                else:
-                    levels[b].append(H)
-                    rep[H.hyps] = H
+                rep[H.hyps] = next((L for L in levels[b] if _agreement_restriction(
+                    F, L, H, schedule.ell(r, t) - 1, b) is not None), H)
+                if rep[H.hyps] is H:
+                    bisect.insort(levels[b], H, key=class_order)
     return FilteredSets({b: tuple(v) for b, v in levels.items()}, rep)
 
 
@@ -147,7 +142,7 @@ def _soa_filter(F: DiscreteClass, g_hat: tuple, schedule: LadderSchedule, d: int
         r = schedule.r_max - j * r0 - 1
         tau = j * tau0 + 2 + schedule.chi
         # scans[t]: (L, soa(L)) for the ell(r, t)-irreducible L of sfat2 d - t.
-        scans = [[(L, soa(L)) for L in sorted(filtered.levels[d - t], key=class_order)
+        scans = [[(L, soa(L)) for L in filtered.levels[d - t]
                   if is_l_irreducible(L, schedule.ell(r, t))] for t in range(d + 1)]
         # Restriction set -> F restricted to it; only nonempty classes queue.
         queue = {(): F}

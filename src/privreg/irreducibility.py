@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 
 from .classes import DiscreteClass, DomainError, memoized
-from .dimensions import sfat2
+from .dimensions import sfat2, sfat2_mask
 from .trees import KTree, TreeError, augmented_root, validate_kary
 
 INFINITE = math.inf
@@ -38,8 +38,8 @@ def is_l_irreducible(F: DiscreteClass, l: int) -> bool:
 def _keepers(F: DiscreteClass, eq: list, d: int) -> dict:
     """Label k -> F restricted to (x, k), for each label k at a point x (eq,
     its masks) whose restriction keeps sfat2 = d."""
-    return {k: G for k in range(1, F.K + 1)
-            if (sub := F.mask & eq[k]) and sfat2(G := F.with_mask(sub)) == d}
+    return {k: F.with_mask(sub) for k in range(1, F.K + 1)
+            if (sub := F.mask & eq[k]) and sfat2_mask(F, sub) == d}
 
 
 def _every_point_preserves(F: DiscreteClass, l: int, d: int) -> bool:
@@ -141,7 +141,7 @@ def validate_witness_tree(F: DiscreteClass, tree: KTree, l: int) -> None:
         raise TreeError(f"witness tree depth {tree.depth()} exceeds {l}")
     d = sfat2(F)
     for path, _, mask in tree.leaves(F):
-        if sfat2(F.with_mask(mask)) >= d:
+        if sfat2_mask(F, mask) >= d:
             raise TreeError(f"leaf {path} does not reduce sfat2")
 
 
@@ -216,7 +216,7 @@ def validate_reducing_tree(H: DiscreteClass, tree: KTree, ell_seq) -> None:
         for k in path:
             anc &= H.bits.eq[node.point_index][k]
             node = node.children[k]
-            dims.append(sfat2(H.with_mask(anc)))
+            dims.append(sfat2_mask(H, anc))
         for u in range(1, t):
             if not any(w <= d - u for w in dims[:prefix[u] + 1]):
                 raise TreeError(f"leaf {path} misses the depth-{u} ancestor condition")

@@ -10,9 +10,9 @@ import itertools
 from dataclasses import dataclass
 
 from .classes import (DiscreteClass, DomainError, EmpiricalDistribution, class_order,
-                      sup_distance)
+                      enumerate_restriction_subclasses, sup_distance)
 from .dimensions import sfat2
-from .filtering import filter_step
+from .filtering import LadderSchedule, filter_step
 from .irreducibility import is_l_irreducible, soa
 from .tree_learner import level_class
 
@@ -171,11 +171,10 @@ def strong_stability_target(F: DiscreteClass, G: DiscreteClass, chi: int,
         raise DomainError("G must be nonempty")
     r_max = d + 1
     tau_max = (2 + 2 * chi) * (d + 1)
-    schedule_ell = lambda r, t: ell_bar * (r + 2) ** t
+    schedule = LadderSchedule(ell_bar, r_max, tau_max, chi)
     if not is_l_irreducible(G, ell_bar * (d + 3) ** d):
         raise DomainError("G is not sufficiently irreducible")
     soa_g = soa(G)
-    from .classes import enumerate_restriction_subclasses
     candidates = []
     for H in enumerate_restriction_subclasses(F):
         # Every admissible level is >= ell_bar >= 1, so classes that are not
@@ -188,7 +187,7 @@ def strong_stability_target(F: DiscreteClass, G: DiscreteClass, chi: int,
     def mu_val(r: int, tau: int) -> int:
         best = -1
         for H, t, dist in candidates:
-            if dist <= tau and is_l_irreducible(H, schedule_ell(r, t)):
+            if dist <= tau and is_l_irreducible(H, schedule.ell(r, t)):
                 best = max(best, sfat2(H))
         return best
 
@@ -201,11 +200,9 @@ def strong_stability_target(F: DiscreteClass, G: DiscreteClass, chi: int,
     target = mu[(r_star, tau_star)]
     pool = sorted((H for H, t, dist in candidates
                    if dist <= tau_star and sfat2(H) == target
-                   and is_l_irreducible(H, schedule_ell(r_star, t))),
+                   and is_l_irreducible(H, schedule.ell(r_star, t))),
                   key=class_order)
     h_star = pool[0]
-    from .filtering import LadderSchedule
-    schedule = LadderSchedule(ell_bar, r_max, tau_max, chi)
     filtered = filter_step(F, schedule, r_max)
     l_star = filtered.representative(h_star)
     return StrongStabilityTarget(mu, r_star, tau_star, h_star, l_star)

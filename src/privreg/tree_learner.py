@@ -16,7 +16,7 @@ import numpy as np
 
 from .classes import (DiscreteClass, DomainError, EmpiricalDistribution, abs_error,
                       memoized)
-from .dimensions import sfat2
+from .dimensions import sfat2, sfat2_mask
 from .irreducibility import is_l_irreducible, reduction_witness_tree, soa
 from .trees import KTree
 
@@ -121,7 +121,7 @@ def _max_dim_leaves(tree: KTree, level: DiscreteClass):
     """The highest sfat2 of level at a leaf, and the (path, mask of level's
     rows there) of the leaves attaining it, in leaf order."""
     leaves = [(p, m) for p, _, m in tree.leaves(level)]
-    dims = [sfat2(level.with_mask(m)) for _, m in leaves]
+    dims = [sfat2_mask(level, m) for _, m in leaves]
     w_star = max(dims)
     return w_star, [leaf for leaf, w in zip(leaves, dims) if w == w_star]
 

@@ -151,6 +151,63 @@ def sfat2_tuples(F: DiscreteClass) -> int:
     return rec(F.hyps)
 
 
+def _midpoint_thresholds(values) -> list:
+    """Candidate witness values: midpoints of realized value pairs."""
+    vals = sorted(set(values))
+    out = set()
+    for a in vals:
+        for b in vals:
+            out.add((a + b) / 2.0)
+    return sorted(out)
+
+
+def fat_alpha_tuples(H: RealClass, alpha: float) -> int:
+    """Reference for fat_alpha: every point subset, one midpoint threshold per
+    point, each candidate set checked sign pattern by sign pattern on the
+    hypothesis tuples."""
+    if not H.hyps:
+        return -1
+    n = H.domain.size
+    hyps = H.hyps
+
+    usable = []
+    for i in range(n):
+        cands = [s for s in _midpoint_thresholds(h[i] for h in hyps)
+                 if any(h[i] >= s + alpha for h in hyps)
+                 and any(h[i] <= s - alpha for h in hyps)]
+        if cands:
+            usable.append((i, cands))
+
+    def shattered(points_thresholds) -> bool:
+        d = len(points_thresholds)
+        for b in range(2 ** d):
+            bits = [(b >> j) & 1 for j in range(d)]
+            if not any(
+                all((h[i] >= s + alpha) if bit else (h[i] <= s - alpha)
+                    for (i, s), bit in zip(points_thresholds, bits))
+                for h in hyps
+            ):
+                return False
+        return True
+
+    best = 0
+
+    def search_exact(start: int, chosen: list) -> None:
+        nonlocal best
+        best = max(best, len(chosen))
+        if len(chosen) + (len(usable) - start) <= best:
+            return
+        for idx in range(start, len(usable)):
+            i, cands = usable[idx]
+            for s in cands:
+                trial = chosen + [(i, s)]
+                if shattered(trial):
+                    search_exact(idx + 1, trial)
+
+    search_exact(0, [])
+    return best
+
+
 def reg_learn_per_group(H: RealClass, data, cfg, seed: int):
     """Reference for reg_learn: each group's errors from its own empirical
     distribution, through reduce_tree_reg, one group at a time.  Returns

@@ -5,10 +5,11 @@ import pytest
 
 from privreg import DiscreteClass, RealClass, fat_alpha, sfat2, sfat_alpha
 from privreg.classes import DomainError
-from privreg.dimensions import (CertNode, extract_sfat_certificate,
+from privreg.dimensions import (CertNode, extract_sfat_certificate, sfat2_mask,
                                 verify_certificate)
 
-from helpers import F_TOY, X1, X2, class_stream, dclass, make_domain, sfat2_tuples
+from helpers import (F_TOY, X1, X2, X3, class_stream, dclass, fat_alpha_tuples, make_domain,
+                     sfat2_tuples)
 
 
 def test_sfat2_conventions():
@@ -34,6 +35,38 @@ def test_fat_alpha_examples():
     assert fat_alpha(RealClass(X1), 1.0) == -1
     with pytest.raises(DomainError):
         fat_alpha(RealClass(X1, ((0.0,),)), 0.0)
+
+
+def test_fat_alpha_float_boundary():
+    # 0.5 >= 0.4 + 0.1 holds though 0.5 - 0.4 < 0.1: the threshold 0.4 at x1
+    # sends the rows at 0.5 up, and 0.19 at x2 splits each side again.
+    H = RealClass(X2, ((-0.8, 0.8), (0.3, 0.08), (0.5, 0.08), (0.5, 0.3)))
+    assert fat_alpha(H, 0.1) == 2
+    assert fat_alpha_tuples(H, 0.1) == 2
+
+
+def test_fat_alpha_matches_tuple_search():
+    rng = random.Random(12)
+    classes = []
+    for _ in range(320):
+        nx = rng.randint(1, 4)
+        # Values from a short grid, so rows repeat values at a point.
+        grid = [round(rng.uniform(-1, 1), 2) for _ in range(rng.randint(2, 6))]
+        classes.append(RealClass(make_domain(nx), tuple(
+            tuple(rng.choice(grid) for _ in range(nx)) for _ in range(rng.randint(1, 10)))))
+    margins = [0.05, 0.1, 0.25, 0.4, 0.7, 1.0]
+    for k, H in enumerate(classes):
+        for alpha in margins[k % 3::3]:
+            assert fat_alpha(H, alpha) == fat_alpha_tuples(H, alpha), (H.hyps, alpha)
+    # A 3-point, 10-hypothesis class at the margin c0 * eta of K = 241.
+    H = RealClass(X3, tuple(tuple(rng.uniform(-1, 1) for _ in range(3)) for _ in range(10)))
+    assert fat_alpha(H, 0.25 * 0.0083) == fat_alpha_tuples(H, 0.25 * 0.0083)
+
+
+def test_sfat2_mask_matches_subclass():
+    for F in itertools.islice(class_stream(44, nx=3, K=5, max_h=12), 30):
+        for mask in (F.mask, F.mask & 0b1011011, F.mask >> 1, 0):
+            assert sfat2_mask(F, mask) == sfat2(F.with_mask(mask))
 
 
 def test_sfat_alpha_examples():

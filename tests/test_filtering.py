@@ -6,7 +6,7 @@ import pytest
 import privreg.filtering
 from privreg import (DiscreteClass, LadderSchedule, filter_step, is_l_irreducible, sfat2,
                      soa, soa_filter, sup_distance)
-from privreg.classes import DomainError, enumerate_restriction_subclasses
+from privreg.classes import DomainError, class_order, enumerate_restriction_subclasses
 from privreg.filtering import irreducible_subclasses
 
 from helpers import F_DESK, F_TOY, class_stream, dclass, soa_filter_rebuild
@@ -74,6 +74,16 @@ def test_filter_step_level_structure():
             H = F.with_hyps(hyps)
             assert rep.hyps in {L.hyps for L in out.levels[sfat2(H)]}
             assert sup_distance(soa(H), soa(rep)) <= 1
+
+
+def test_filter_step_levels_in_class_order():
+    for nx, K in [(2, 4), (3, 5), (4, 6)]:
+        for F in itertools.islice(class_stream(62 + K, nx=nx, K=K, max_h=10), 12):
+            d = sfat2(F)
+            for sched in (LadderSchedule(1, d + 1, 12 * (d + 1), 5),
+                          LadderSchedule(1, d + 1, d + 1, 1)):
+                for classes in filter_step(F, sched, d + 1).levels.values():
+                    assert list(classes) == sorted(classes, key=class_order)
 
 
 def test_irreducible_subclasses_canonical_order():

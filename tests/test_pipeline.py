@@ -7,7 +7,7 @@ from privreg import (EmpiricalDistribution, RegLearnConfig, RunFailure,
                      reg_learn, rng_stream, undisc_hypothesis)
 from privreg.classes import DomainError, RealClass
 
-from helpers import (H_DESK, X2, X3, reg_learn_per_group, reg_learn_result)
+from helpers import (H_DESK, X2, X3, make_domain, reg_learn_per_group, reg_learn_result)
 
 DESK = dict(epsilon=1.0, delta=0.05, eta_bar=0.5, beta=0.2, ell_bar=1,
             m=60, n0=40, n1=200, ell_prime=6)
@@ -54,6 +54,18 @@ def test_compute_parameters_memoizes_fat_alpha():
     cfg = RegLearnConfig(**DESK)
     params = compute_parameters(H, cfg)
     assert H.memo[("fat_alpha", H.hyps, cfg.c0 * cfg.eta_bar)] == params.fat
+
+
+def test_compute_parameters_at_k_241():
+    # fat_alpha at the margin c0 * eta of K = 241 on a 4-point,
+    # 16-hypothesis class.
+    rng = random.Random(16)
+    H = RealClass(make_domain(4), tuple(tuple(rng.uniform(-1, 1) for _ in range(4))
+                                        for _ in range(16)))
+    cfg = RegLearnConfig(**dict(DESK, eta_bar=0.0083))
+    params = compute_parameters(H, cfg)
+    assert params.K == 241
+    assert 1 <= params.fat <= min(H.domain.size, len(H).bit_length() - 1)
 
 
 def test_theoretical_scale_refusal():
