@@ -185,25 +185,17 @@ def canonical_restriction(constraints) -> tuple:
 
 @dataclass(frozen=True)
 class EmpiricalDistribution:
-    """Weighted finite set of (point_index, label) atoms; weights sum to 1."""
+    """Uniform distribution over a nonempty tuple of (point_index, label) samples."""
 
-    atoms: tuple  # of (point_index, label, weight)
+    samples: tuple
 
     def __post_init__(self):
-        total = sum(w for _, _, w in self.atoms)
-        if self.atoms and abs(total - 1.0) > 1e-12:
-            raise DomainError(f"weights sum to {total}, expected 1")
-        for _, _, w in self.atoms:
-            if w < 0:
-                raise DomainError("negative weight")
+        if not self.samples:
+            raise DomainError("empty dataset has no empirical distribution")
 
     @staticmethod
     def from_samples(samples: Sequence) -> "EmpiricalDistribution":
-        """Uniform weights over a list of (point_index, label) samples."""
-        n = len(samples)
-        if n == 0:
-            raise DomainError("empty dataset has no empirical distribution")
-        return EmpiricalDistribution(tuple((i, y, 1.0 / n) for i, y in samples))
+        return EmpiricalDistribution(tuple(samples))
 
 
 def label_count(eta: float) -> int:
@@ -247,15 +239,17 @@ def discretize_dataset(samples: Sequence, eta: float) -> list:
 
 def sample_cells(samples: Sequence, npoints: int, K: int) -> np.ndarray:
     """Cell point_index * K + label - 1 of each discretized sample.  A point
-    index must be an integer in 0..npoints-1: any other would be counted in a
-    neighbouring cell."""
+    index must be an integer in 0..npoints-1 and a label an integer in 1..K:
+    any other would be counted in a neighbouring cell."""
     points = np.array([i for i, _ in samples])
-    if points.size and (points.dtype.kind not in "biu"
-                        or not ((points >= 0) & (points < npoints)).all()):
-        idx, i = next((idx, i) for idx, (i, _) in enumerate(samples)
-                      if not (isinstance(i, numbers.Integral) and 0 <= i < npoints))
-        raise DomainError(f"sample {idx}: point index {i!r} is not an integer in 0..{npoints - 1}")
-    return points * K + np.array([k for _, k in samples], dtype=np.int64) - 1
+    labels = np.array([k for _, k in samples])
+    for c, col, name, lo, hi in ((0, points, "point index", 0, npoints - 1),
+                                 (1, labels, "label", 1, K)):
+        if col.size and (col.dtype.kind not in "biu" or not ((col >= lo) & (col <= hi)).all()):
+            for idx, v in enumerate(s[c] for s in samples):
+                if not (isinstance(v, numbers.Integral) and lo <= v <= hi):
+                    raise DomainError(f"sample {idx}: {name} {v!r} is not an integer in {lo}..{hi}")
+    return points.astype(np.int64) * K + labels.astype(np.int64) - 1
 
 
 def group_errors(F: DiscreteClass, cells: np.ndarray, n: int) -> np.ndarray:
@@ -276,13 +270,18 @@ def group_errors(F: DiscreteClass, cells: np.ndarray, n: int) -> np.ndarray:
     return counts @ memoized(F.memo, ("loss_table", F.mask), loss_table).T / n
 
 
+def empirical_errors(F: DiscreteClass, P: EmpiricalDistribution) -> np.ndarray:
+    """group_errors of F on P's samples as one group: one row, F.hyps in order."""
+    return group_errors(F, sample_cells(P.samples, F.domain.size, F.K), len(P.samples))
+
+
 def abs_error(f: Sequence, P: EmpiricalDistribution) -> float:
-    """err_P(f) = sum of weight * |f(x) - y| over the atoms of P."""
-    n = len(f)
-    total = 0.0
-    for i, y, w in P.atoms:
+    """err_P(f) = sum over P's n samples of (1/n) * |f(x) - y|, for real
+    values; a discrete class's errors come from empirical_errors."""
+    n, w, total = len(f), 1.0 / len(P.samples), 0.0
+    for i, y in P.samples:
         if not (0 <= i < n):
-            raise DomainError(f"atom point index {i} outside hypothesis arity")
+            raise DomainError(f"sample point index {i} outside hypothesis arity")
         total += w * abs(f[i] - y)
     return total
 
@@ -290,7 +289,7 @@ def abs_error(f: Sequence, P: EmpiricalDistribution) -> float:
 def min_error(F: DiscreteClass, P: EmpiricalDistribution) -> float:
     if F.is_empty:
         raise DomainError("empty class has no minimum error")
-    return min(abs_error(f, P) for f in F.hyps)
+    return float(empirical_errors(F, P).min())
 
 
 def enumerate_restriction_subclasses(F: DiscreteClass) -> list:

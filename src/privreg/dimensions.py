@@ -120,9 +120,9 @@ def extract_sfat_certificate(F: DiscreteClass) -> CertNode:
     return build(F.mask, d)
 
 
-def verify_certificate(F: DiscreteClass, cert: CertNode, alpha: float = 2.0) -> bool:
+def verify_certificate(F: DiscreteClass, cert: CertNode) -> bool:
     """Exhaustive Definition-style check: every leaf path admits a hypothesis
-    meeting the margin (3-2k)(f(x)-s) >= alpha/2 at all ancestors."""
+    meeting the margin (3-2k)(f(x)-s) >= 1 at all ancestors."""
     if F.is_empty:
         return False
 
@@ -142,8 +142,8 @@ def verify_certificate(F: DiscreteClass, cert: CertNode, alpha: float = 2.0) -> 
         if node is None:
             return bool(hyps)
         i, s = node.point_index, node.witness
-        up = tuple(h for h in hyps if h[i] - s >= alpha / 2)
-        down = tuple(h for h in hyps if s - h[i] >= alpha / 2)
+        up = tuple(h for h in hyps if h[i] - s >= 1)
+        down = tuple(h for h in hyps if s - h[i] >= 1)
         return ok(node.high, up) and ok(node.low, down)
 
     return ok(cert, F.hyps)

@@ -65,8 +65,6 @@ def noisy_opt_error(F: DiscreteClass, emp: EmpiricalDistribution, epsilon: float
     The minimum has sensitivity at most K/n1 under single-sample replacement,
     so the release satisfies (epsilon/2, 0)-DP.
     """
-    if F.is_empty:
-        raise DomainError("noisy_opt_error requires a nonempty class")
     if n1 < 1:
         raise DomainError("n1 must be >= 1")
     return min_error(F, emp) + laplace_sample(2.0 * F.K / (epsilon * n1), rng)
@@ -143,7 +141,7 @@ class AuditReport:
 
 
 def dp_audit(mechanism, D, D_prime, priv: PrivacyParams, trials: int,
-             master_seed: int, events=None) -> AuditReport:
+             master_seed: int) -> AuditReport:
     """Monte Carlo check of the privacy inequality over output-id events.
 
     mechanism(dataset, rng) must return a hashable output id.  Both directions
@@ -152,6 +150,8 @@ def dp_audit(mechanism, D, D_prime, priv: PrivacyParams, trials: int,
     """
     if not _neighboring(D, D_prime):
         raise DomainError("datasets are not neighboring")
+    if trials < 1:
+        raise DomainError(f"trials must be >= 1, got {trials}")
     counts_p: dict = {}
     counts_q: dict = {}
     for i in range(trials):
@@ -159,14 +159,11 @@ def dp_audit(mechanism, D, D_prime, priv: PrivacyParams, trials: int,
         counts_p[out] = counts_p.get(out, 0) + 1
         out = mechanism(D_prime, rng_stream(master_seed, 1, i))
         counts_q[out] = counts_q.get(out, 0) + 1
-    if events is None:
-        events = sorted(set(counts_p) | set(counts_q), key=repr)
-        events = [(repr(e), {e}) for e in events]
     rows = []
     violation = False
-    for name, bucket in events:
-        p = sum(counts_p.get(e, 0) for e in bucket) / trials
-        q = sum(counts_q.get(e, 0) for e in bucket) / trials
+    for e in sorted(set(counts_p) | set(counts_q), key=repr):
+        p = counts_p.get(e, 0) / trials
+        q = counts_q.get(e, 0) / trials
         flag = False
         for a, b in ((p, q), (q, p)):
             sigma = math.sqrt(a * (1 - a) / trials) + \
@@ -174,6 +171,6 @@ def dp_audit(mechanism, D, D_prime, priv: PrivacyParams, trials: int,
             if a > math.exp(priv.epsilon) * b + priv.delta + 3 * sigma:
                 flag = True
         violation = violation or flag
-        rows.append({"event": name, "p": p, "q": q,
+        rows.append({"event": repr(e), "p": p, "q": q,
                      "bound": math.exp(priv.epsilon) * q + priv.delta, "flag": flag})
     return AuditReport(rows, trials, violation)

@@ -126,6 +126,8 @@ def soa_filter(F: DiscreteClass, g_hat: tuple, schedule: LadderSchedule,
         raise DomainError("soa_filter requires a nonempty class")
     if schedule.r_max % (d + 1) != 0 or schedule.tau_max % (d + 1) != 0:
         raise DomainError("r_max and tau_max must be multiples of d+1")
+    if len(g_hat) != F.domain.size or not all(type(v) is int and 1 <= v <= F.K for v in g_hat):
+        raise DomainError(f"g_hat must be {F.domain.size} labels in 1..{F.K}")
     if trace is not None:
         return _soa_filter(F, g_hat, schedule, d, trace)
     return memoized(F.memo, ("soa_filter", F.mask, schedule, tuple(g_hat)),

@@ -208,16 +208,16 @@ def strong_stability_target(F: DiscreteClass, G: DiscreteClass, chi: int,
     return StrongStabilityTarget(mu, r_star, tau_star, h_star, l_star)
 
 
-def oracle_agreement_grid(classes, l_values=(0, 1, 2)) -> dict:
-    """Run the equivalence suite over an iterable of classes; returns counts
-    and the list of disagreements (expected empty)."""
+def oracle_agreement_grid(classes) -> dict:
+    """Run the equivalence suite over an iterable of classes at levels 0, 1
+    and 2; returns counts and the list of disagreements (expected empty)."""
     checked = 0
     disagreements = []
     for F in classes:
         bf = sfat2_bruteforce(F)
         if bf != sfat2(F):
             disagreements.append(("sfat2", F.hyps, bf, sfat2(F)))
-        for l in l_values:
+        for l in (0, 1, 2):
             bi = irreducible_bruteforce(F, l)
             if bi != is_l_irreducible(F, l):
                 disagreements.append(("irred", F.hyps, l, bi))

@@ -14,14 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classes import (DiscreteClass, DomainError, EmpiricalDistribution, abs_error,
+from .classes import (DiscreteClass, DomainError, EmpiricalDistribution, empirical_errors,
                       memoized)
 from .dimensions import sfat2, sfat2_mask
 from .irreducibility import is_l_irreducible, reduction_witness_tree, soa
 from .trees import KTree
 
-# Empirical errors are finite sums of rationals; thresholds carry >= 1 slack,
-# so a fixed tiny tolerance on the comparison cannot flip any semantics.
+# Empirical errors are correctly rounded integers over n; thresholds carry >= 1
+# slack, so a fixed tiny tolerance on the comparison cannot flip any semantics.
 _ERR_SLACK = 1e-9
 
 
@@ -59,7 +59,7 @@ class ReduceTreeOutput:
 
 def level_class(F: DiscreteClass, P: EmpiricalDistribution, alpha: float) -> DiscreteClass:
     """The subclass of F with empirical error at most alpha."""
-    masks, _ = _level_masks(F, np.array([[abs_error(f, P) for f in F.hyps]]), [alpha])
+    masks, _ = _level_masks(F, empirical_errors(F, P), [alpha])
     return F.with_mask(masks[0][0])
 
 
@@ -80,7 +80,7 @@ def _level_masks(F: DiscreteClass, errs: np.ndarray, alphas: list) -> tuple:
 
 def reduce_tree_reg(F: DiscreteClass, P_hat: EmpiricalDistribution,
                     params: ReduceTreeParams) -> ReduceTreeOutput:
-    results, _ = reduce_tree_rows(F, np.array([[abs_error(f, P_hat) for f in F.hyps]]), params)
+    results, _ = reduce_tree_rows(F, empirical_errors(F, P_hat), params)
     if isinstance(results[0], ReduceTreeError):
         raise results[0]
     return results[0]

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from privreg import (DiscreteClass, Domain, DomainError, EmpiricalDistribution,
                      LadderSchedule, RealClass, ReduceTreeParams, abs_error,
                      discretize_class, discretize_dataset, discretize_value,
-                     filter_step, label_count, min_error, reduce_tree_reg, sfat2,
+                     filter_step, label_count, level_class, min_error, reduce_tree_reg, sfat2,
                      soa_filter, sup_distance, undisc_hypothesis)
 from privreg.classes import (canonical_restriction, enumerate_restriction_subclasses,
                              group_errors, sample_cells)
@@ -196,11 +196,42 @@ def test_memo_lives_on_the_class():
 
 def test_empirical_distribution():
     with pytest.raises(DomainError):
-        EmpiricalDistribution(((0, 1, 0.7),))
-    with pytest.raises(DomainError):
         EmpiricalDistribution.from_samples([])
-    P = EmpiricalDistribution.from_samples([(0, 1), (1, 3)])
-    assert sum(w for _, _, w in P.atoms) == pytest.approx(1.0)
+    with pytest.raises(DomainError):
+        EmpiricalDistribution(())
+    assert EmpiricalDistribution.from_samples([(0, 1), (1, 3)]).samples == ((0, 1), (1, 3))
+
+
+def test_min_error_is_the_exact_mean():
+    # Ten terms of 0.1 sum to 0.9999999999999999; the count histogram gives 10/10.
+    P = EmpiricalDistribution.from_samples([(0, 2)] * 10)
+    assert abs_error((1, 1), P) == 0.9999999999999999
+    err = min_error(dclass([(1, 1)]), P)
+    assert err == 1.0 and type(err) is float
+
+
+def test_sample_cells_of_numpy_integers():
+    # numpy makes a float column of a uint64 and an int, and a uint64 point
+    # index times K plus an int64 label a float cell.
+    cells = sample_cells([(np.uint64(1), np.uint8(2)), (0, np.int32(4))], 2, 4)
+    assert cells.dtype == np.int64 and cells.tolist() == [5, 3]
+    P = EmpiricalDistribution.from_samples([(np.uint64(1), 1)])
+    assert min_error(dclass([(1, 1)]), P) == 0.0
+
+
+@pytest.mark.parametrize("sample, message", [
+    ((0, 0), "label 0 is not an integer in 1..4"), ((0, 5), "label 5"),
+    ((0, 7), "label 7"), ((1, 2.0), "label 2.0"), ((0, 2.5), "label 2.5"),
+    ((2, 1), "point index 2 is not an integer in 0..1")])
+def test_discrete_errors_reject_a_sample_outside_the_cells(sample, message):
+    # At K = 4 and two points, label 7 at point 0 would be cell 6, point 1's
+    # label 3, if it were not rejected.
+    P = EmpiricalDistribution.from_samples([(1, 3), sample])
+    for call in (lambda: sample_cells(P.samples, 2, 4), lambda: min_error(F_TOY, P),
+                 lambda: level_class(F_TOY, P, 2.0),
+                 lambda: reduce_tree_reg(F_TOY, P, ReduceTreeParams(60.0, 18.0, 6))):
+        with pytest.raises(DomainError, match=f"sample 1: {message}"):
+            call()
 
 
 def test_abs_error_examples():

@@ -272,6 +272,14 @@ def test_audit_smoke(tmp_path):
     assert isinstance(out["violation"], bool)
 
 
+def test_audit_refuses_zero_trials(tmp_path):
+    cfg = _write(tmp_path / "cfg.json", {
+        "users": [["a"]], "users_prime": [["b"]],
+        "sparsity": 1, "epsilon": 0.5, "delta": 1e-6, "trials": 0})
+    code, report = _run(tmp_path, ["audit", "--config", cfg, "--seed", "3"])
+    assert code == EXIT_PRECONDITION and report is None
+
+
 def test_stdout_when_no_out_flag(tmp_path, capsys):
     low = dclass([(1, 1), (1, 2), (2, 1), (2, 2)])
     cfg = _write(tmp_path / "cfg.json",

@@ -9,7 +9,7 @@ from privreg import (BOTTOM, PrivacyParams, SelectionInstance, candidate_id,
 from privreg.classes import DomainError, EmpiricalDistribution, min_error
 from privreg.dp import selection_threshold
 
-from helpers import F_TOY
+from helpers import F_TOY, dclass
 
 
 def test_privacy_params():
@@ -62,6 +62,8 @@ def test_noisy_opt_error():
     assert total == min_error(F_TOY, P) + laplace_sample(2 * F_TOY.K / (0.5 * 2), rng_stream(3))
     with pytest.raises(DomainError):
         noisy_opt_error(F_TOY, P, 0.5, 0, rng_stream(3))
+    with pytest.raises(DomainError, match="empty class"):
+        noisy_opt_error(dclass([]), P, 0.5, 2, rng_stream(3))
 
 
 def test_candidate_id():
@@ -113,6 +115,13 @@ def test_dp_audit_neighboring_check():
         dp_audit(lambda D, rng: 0, [1, 2], [3, 4], priv, 10, 0)
     with pytest.raises(DomainError):
         dp_audit(lambda D, rng: 0, [1], [1, 2], priv, 10, 0)
+
+
+@pytest.mark.parametrize("trials", [0, -5])
+def test_dp_audit_needs_a_trial(trials):
+    # With no trials no event is seen, and the audit could not fail.
+    with pytest.raises(DomainError, match="trials"):
+        dp_audit(lambda D, rng: sum(D), [0], [1], PrivacyParams(0.5, 1e-6), trials, 0)
 
 
 def test_dp_audit_flags_noiseless_mechanism():

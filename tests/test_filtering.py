@@ -101,6 +101,15 @@ def test_soa_filter_divisibility():
         soa_filter(dclass([], nx=2), (1, 1), LadderSchedule(1, 1, 2, 1))
 
 
+@pytest.mark.parametrize("g_hat", [(2,), (2, 2, 2), (0, 2), (2, 9), (2, 2.0)])
+def test_soa_filter_rejects_a_bad_g_hat(g_hat):
+    F = dclass(F_DESK.hyps)  # a fresh memo
+    sched = LadderSchedule(1, 3, 36, 5)
+    with pytest.raises(DomainError, match="g_hat must be 2 labels in 1..4"):
+        soa_filter(F, g_hat, sched)
+    assert not [key for key in F.memo if key[0] == "soa_filter"]
+
+
 def test_soa_filter_sfat0():
     F = dclass([(1,), (2,)], K=3, nx=1)
     sched = LadderSchedule(1, 1, 3, 1)

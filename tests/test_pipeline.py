@@ -91,6 +91,7 @@ def test_reg_learn_runs_and_is_deterministic():
     b = reg_learn(H_DESK, _sampler, cfg, seed=4)
     assert a.h_hat == b.h_hat
     assert a.transcript == b.transcript
+    assert type(a.transcript["eta_hat"]) is float and type(a.transcript["alpha1"]) is float
     assert all(-1.0 <= v <= 1.0 for v in a.h_hat)
     assert a.g_hat == tuple(1 + round((v + 1) * 2) for v in a.h_hat)
     assert a.transcript["winner"] is not None
