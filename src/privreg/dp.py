@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classes import DiscreteClass, DomainError, EmpiricalDistribution, min_error
+from .classes import DiscreteClass, DomainError, group_errors
 
 
 class Bottom:
@@ -58,16 +58,19 @@ def laplace_sample(b: float, rng: np.random.Generator) -> float:
     return -b * math.copysign(1.0, u) * math.log(1.0 - 2.0 * abs(u))
 
 
-def noisy_opt_error(F: DiscreteClass, emp: EmpiricalDistribution, epsilon: float,
+def noisy_opt_error(F: DiscreteClass, cells: np.ndarray, epsilon: float,
                     n1: int, rng: np.random.Generator) -> float:
-    """Minimum empirical error over F plus Laplace(2K/(epsilon*n1)) noise.
+    """Minimum empirical error over F on the n1 samples given by their
+    sample_cells, plus Laplace(2K/(epsilon*n1)) noise.
 
     The minimum has sensitivity at most K/n1 under single-sample replacement,
     so the release satisfies (epsilon/2, 0)-DP.
     """
-    if n1 < 1:
-        raise DomainError("n1 must be >= 1")
-    return min_error(F, emp) + laplace_sample(2.0 * F.K / (epsilon * n1), rng)
+    if n1 < 1 or len(cells) != n1:
+        raise DomainError(f"need the cells of n1 >= 1 samples, got {len(cells)} for n1 = {n1}")
+    if F.is_empty:
+        raise DomainError("empty class has no minimum error")
+    return float(group_errors(F, cells, n1).min()) + laplace_sample(2.0 * F.K / (epsilon * n1), rng)
 
 
 def candidate_id(vector) -> str:

@@ -7,8 +7,10 @@ representatives plus reducing trees to turn a hypothesis that is merely close
 to the labeling of a stable subclass into a small set of classes guaranteed to
 contain one that depends only on that subclass.
 
-soa_filter keeps each reducing tree's nonempty leaves, (pairs, mask), in the
-root's memo under ("reducing_leaves", mask, x_a, y, ell_seq), freed with it.
+soa_filter builds no tree: it reads each reducing tree's nonempty leaves,
+(pairs, mask), from reducing_leaves, kept in the root's memo under
+("reducing_leaves", mask, x_a, y, ell_seq) beside the ("witness_leaves", mask,
+l) entries they are made of, and freed with it.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 from .classes import (DiscreteClass, DomainError, canonical_restriction, class_order,
                       enumerate_restriction_subclasses, memoized, sup_distance)
 from .dimensions import sfat2
-from .irreducibility import build_reducing_tree, is_l_irreducible, soa, soa_partial
+from .irreducibility import is_l_irreducible, reducing_leaves, soa, soa_partial
 
 
 def _point_gap(label: "int | None", target: int) -> float:
@@ -166,10 +168,7 @@ def _soa_filter(F: DiscreteClass, g_hat: tuple, schedule: LadderSchedule, d: int
                 ell_seq = tuple(schedule.ell(r, t + tt) for tt in range(d - t + 1))
                 for y in range(max(1, k - tau + 1), min(F.K, k + tau - 1) + 1):
                     key = ("reducing_leaves", H.mask, x_a, y, ell_seq)
-                    leaves = memoized(H.memo, key, lambda: tuple(
-                        (pairs, m) for _, pairs, m in build_reducing_tree(
-                            H, x_a, y, ell_seq, require_reduction=False).leaves(H) if m))
-                    for pairs, m in leaves:
+                    for pairs, m in memoized(H.memo, key, reducing_leaves, H, x_a, y, ell_seq):
                         if all(abs(g_hat[i] - yy) <= tau - 1 for i, yy in pairs):
                             next_queue[canonical_restriction(a + pairs)] = H.with_mask(m)
             queue = next_queue

@@ -111,14 +111,17 @@ def _preserving_labels(G: DiscreteClass) -> tuple:
     return tuple(out)
 
 
-def reduction_witness_tree(F: DiscreteClass, l: int) -> "KTree | None":
-    """K-ary tree of depth <= l whose every leaf strictly reduces sfat2.
-
-    Returns None iff F is l-irreducible (no such tree exists).
-    """
+def witness_leaves(F: DiscreteClass, l: int) -> "tuple | None":
+    """Nonempty leaves (pairs, mask) of F's level-l witness tree, depth-first
+    in edge-label order, or None iff F is l-irreducible; kept in F's memo
+    under ("witness_leaves", mask, l)."""
     if l < 1:
         raise DomainError(f"witness tree needs level >= 1, got {l}")
-    if F.is_empty or is_l_irreducible(F, l):
+    return memoized(F.memo, ("witness_leaves", F.mask, l), _witness_leaves, F, l)
+
+
+def _witness_leaves(F: DiscreteClass, l: int) -> "tuple | None":
+    if is_l_irreducible(F, l):
         return None
     d = sfat2(F)
     for i, eq in enumerate(F.bits.eq):
@@ -126,10 +129,20 @@ def reduction_witness_tree(F: DiscreteClass, l: int) -> "KTree | None":
         if any(is_l_irreducible(G, l - 1) for G in keep.values()):
             continue
         # Here every child keeping sfat2 = d is not (l-1)-irreducible, so l >= 2
-        # and its own witness tree exists.
-        return KTree(i, {k: reduction_witness_tree(keep[k], l - 1) if k in keep
-                         else KTree.leaf() for k in range(1, F.K + 1)})
+        # and it has witness leaves; the tree stops at every other label.
+        out = []
+        for k in range(1, F.K + 1):
+            below = witness_leaves(keep[k], l - 1) if k in keep else [((), F.mask & eq[k])]
+            out.extend((((i, k),) + pairs, m) for pairs, m in below if m)
+        return tuple(out)
     raise AssertionError("non-irreducible class must have a failing point")
+
+
+def reduction_witness_tree(F: DiscreteClass, l: int) -> "KTree | None":
+    """K-ary tree of depth <= l whose every leaf strictly reduces sfat2, grown
+    afresh from witness_leaves; None iff F is l-irreducible."""
+    leaves = witness_leaves(F, l)
+    return None if leaves is None else KTree().grow(leaves, F.K)
 
 
 def validate_witness_tree(F: DiscreteClass, tree: KTree, l: int) -> None:
@@ -145,38 +158,39 @@ def validate_witness_tree(F: DiscreteClass, tree: KTree, l: int) -> None:
             raise TreeError(f"leaf {path} does not reduce sfat2")
 
 
-def build_reducing_tree(H: DiscreteClass, x_index: int, y: int, ell_seq,
-                        require_reduction: bool = True) -> KTree:
-    """Augmented tree rooted by (x,y) whose leaves are empty or suitably
-    irreducible with dimension-matched levels from ell_seq.
-
-    ell_seq[t] is the required irreducibility level for leaves v with
-    sfat2(H|a(v)) = sfat2(H) - t; it needs sfat2(H)+1 entries.  Leaves failing
-    their level get a witness tree attached, strictly reducing sfat2 below
-    them, until every leaf complies.  Each new nonempty leaf's class comes
-    from the witness tree's leaf walk over its parent leaf's class.
-    """
+def reducing_leaves(H: DiscreteClass, x_index: int, y: int, ell_seq) -> tuple:
+    """Nonempty leaves (pairs, mask), depth-first in edge-label order, of the
+    augmented tree rooted by (x,y) whose leaves are empty or irreducible at
+    their level: ell_seq, of sfat2(H)+1 entries, requires ell_seq[t] of leaves
+    v with sfat2(H|a(v)) = sfat2(H) - t.  From the rooted pair on, a leaf
+    failing its level is replaced by its witness leaves."""
     if H.is_empty:
         raise DomainError("reducing tree requires a nonempty class")
     d = sfat2(H)
-    ell_seq = list(ell_seq)
+    ell_seq = tuple(ell_seq)
     if len(ell_seq) < d + 1:
         raise DomainError(f"level sequence needs {d + 1} entries, got {len(ell_seq)}")
     if any(l < 1 for l in ell_seq):
         raise DomainError("level sequence entries must be >= 1")
+
+    def expand(pairs: tuple, G: DiscreteClass) -> list:
+        below = witness_leaves(G, ell_seq[d - sfat2(G)])
+        if below is None:
+            return [(pairs, G.mask)]
+        return [leaf for p, m in below for leaf in expand(pairs + p, G.with_mask(m))]
+
     rooted = H.restrict([(x_index, y)])
-    if require_reduction and not sfat2(rooted) < d:
+    return tuple(expand(((x_index, y),), rooted)) if rooted.mask else ()
+
+
+def build_reducing_tree(H: DiscreteClass, x_index: int, y: int, ell_seq,
+                        require_reduction: bool = True) -> KTree:
+    """The augmented reducing tree grown afresh from reducing_leaves(H,
+    x_index, y, ell_seq); every other child of a node is an empty leaf."""
+    leaves = reducing_leaves(H, x_index, y, ell_seq)
+    if require_reduction and not sfat2(H.restrict([(x_index, y)])) < sfat2(H):
         raise DomainError("rooted pair does not reduce sfat2")
-    tree = augmented_root(x_index, y)
-    work = [((y,), rooted)] if rooted.mask else []
-    while work:
-        path, G = work.pop()
-        sub = reduction_witness_tree(G, ell_seq[d - sfat2(G)])
-        if sub is None:
-            continue
-        tree.attach(sub, path)
-        work.extend((path + p, G.with_mask(m)) for p, _, m in sub.leaves(G) if m)
-    return tree
+    return augmented_root(x_index, y).grow(leaves, H.K)
 
 
 def validate_reducing_tree(H: DiscreteClass, tree: KTree, ell_seq) -> None:

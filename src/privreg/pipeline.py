@@ -173,10 +173,8 @@ def reg_learn(H: RealClass, data, cfg: RegLearnConfig, seed: "int | None" = None
         raise DomainError(f"need {need} samples, got {len(data)}")
     disc = discretize_dataset(data[:need], cfg.eta_bar)
     cells = sample_cells(disc, F.domain.size, params.K)
-    T = disc[: params.n1]
 
-    eta_hat = noisy_opt_error(F, EmpiricalDistribution.from_samples(T),
-                              cfg.epsilon, params.n1, rng)
+    eta_hat = noisy_opt_error(F, cells[:params.n1], cfg.epsilon, params.n1, rng)
     alpha1 = eta_hat + params.alpha_delta / 2 + params.d * params.alpha_delta
     rt_params = ReduceTreeParams(alpha1, params.alpha_delta, params.ell_prime)
 

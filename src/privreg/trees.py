@@ -1,4 +1,4 @@
-"""K-ary domain-labeled trees, ancestor sets, and tree attachment.
+"""K-ary domain-labeled trees, ancestor sets, attachment, and growth from leaf paths.
 
 A tree node either is a leaf (point_index is None, no children) or carries a
 point label and a full set of K children keyed by edge labels 1..K.  Augmented
@@ -60,6 +60,18 @@ class KTree:
                 for k in sorted(node.children, reverse=True):
                     stack.append((path + (k,), pairs + ((i, k),), mask & eq[i][k],
                                   node.children[k]))
+
+    def grow(self, leaves, K: int) -> "KTree":
+        """Extend the tree in place along each (pairs, mask) leaf's pairs and
+        return it; a leaf on the way takes the pair's point and K leaves."""
+        for pairs, _ in leaves:
+            node = self
+            for i, k in pairs:
+                if node.is_leaf:
+                    node.point_index = i
+                    node.children = {j: KTree.leaf() for j in range(1, K + 1)}
+                node = node.children[k]
+        return self
 
     def ancestor_set(self, path: tuple) -> tuple:
         """The set a(v) of (point_index, edge_label) pairs along the root path."""

@@ -7,10 +7,10 @@ from privreg import (BOTTOM, DiscreteClass, Domain, EmpiricalDistribution, KTree
                      RunFailure, SelectionInstance, build_reducing_tree,
                      compute_parameters, discretize_class, discretize_dataset,
                      filter_step, is_l_irreducible, noisy_opt_error, reduce_tree_reg,
-                     reduction_witness_tree, reg_learn, rng_stream, sfat2, soa,
+                     reg_learn, rng_stream, sfat2, soa,
                      sparse_select, sup_distance, undisc_hypothesis)
-from privreg.classes import canonical_restriction, class_order
-from privreg.irreducibility import soa_partial
+from privreg.classes import DomainError, canonical_restriction, class_order, sample_cells
+from privreg.irreducibility import _keepers, soa_partial
 from privreg.pipeline import _member_ids
 from privreg.trees import augmented_root
 
@@ -64,6 +64,25 @@ def ktree_from_json(obj, domain) -> KTree:
     return KTree(domain.index(obj["point"]), children)
 
 
+def reduction_witness_tree_recursive(F: DiscreteClass, l: int) -> "KTree | None":
+    """Reference for reduction_witness_tree: the same point search written as
+    a KTree recursion that builds each node, with no leaf paths and no memo."""
+    if l < 1:
+        raise DomainError(f"witness tree needs level >= 1, got {l}")
+    if F.is_empty or is_l_irreducible(F, l):
+        return None
+    d = sfat2(F)
+    for i, eq in enumerate(F.bits.eq):
+        keep = _keepers(F, eq, d)
+        if any(is_l_irreducible(G, l - 1) for G in keep.values()):
+            continue
+        # Here every child keeping sfat2 = d is not (l-1)-irreducible, so l >= 2
+        # and its own witness tree exists.
+        return KTree(i, {k: reduction_witness_tree_recursive(keep[k], l - 1) if k in keep
+                         else KTree.leaf() for k in range(1, F.K + 1)})
+    raise AssertionError("non-irreducible class must have a failing point")
+
+
 def build_reducing_tree_rescan(H: DiscreteClass, x_index: int, y: int, ell_seq) -> KTree:
     """Reference for build_reducing_tree: rescan every leaf, rebuilding its
     class from the root, until no leaf takes a witness tree."""
@@ -76,7 +95,7 @@ def build_reducing_tree_rescan(H: DiscreteClass, x_index: int, y: int, ell_seq) 
             G = H.restrict(tree.ancestor_set(path))
             if G.is_empty:
                 continue
-            sub = reduction_witness_tree(G, ell_seq[d - sfat2(G)])
+            sub = reduction_witness_tree_recursive(G, ell_seq[d - sfat2(G)])
             if sub is None:
                 continue
             tree.attach(sub, path)
@@ -223,7 +242,7 @@ def reg_learn_per_group(H: RealClass, data, cfg, seed: int):
     groups = [disc[params.n1 + j * params.n0: params.n1 + (j + 1) * params.n0]
               for j in range(params.m)]
 
-    eta_hat = noisy_opt_error(F, EmpiricalDistribution.from_samples(T),
+    eta_hat = noisy_opt_error(F, sample_cells(T, F.domain.size, F.K),
                               cfg.epsilon, params.n1, rng)
     alpha1 = eta_hat + params.alpha_delta / 2 + params.d * params.alpha_delta
     rt_params = ReduceTreeParams(alpha1, params.alpha_delta, params.ell_prime)

@@ -180,13 +180,13 @@ def test_soa_filter_reuses_reducing_trees(monkeypatch):
     # four g_hats ask for the same reducing trees.  A memo keyed on g_hat,
     # or none, would build every one of them again.
     built = []
-    real = privreg.filtering.build_reducing_tree
+    real = privreg.filtering.reducing_leaves
 
     def counting(*args, **kw):
         built.append(args)
         return real(*args, **kw)
 
-    monkeypatch.setattr(privreg.filtering, "build_reducing_tree", counting)
+    monkeypatch.setattr(privreg.filtering, "reducing_leaves", counting)
     F = next(F for F in class_stream(73, nx=4, K=5, min_h=8, max_h=15) if sfat2(F) == 3)
     sched = LadderSchedule(1, 4, 48, 5)
     g_hats = [(1, 2, 3, 4), (5, 4, 3, 2), (2, 2, 2, 2), (4, 1, 5, 3)]

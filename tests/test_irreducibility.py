@@ -6,11 +6,13 @@ import pytest
 from privreg import (INFINITE, build_reducing_tree, irreducibility_level,
                      is_l_irreducible, reduction_witness_tree, sfat2, soa,
                      soa_partial, validate_reducing_tree, validate_witness_tree)
-from privreg.classes import DomainError, canonical_restriction
+from privreg.classes import DiscreteClass, DomainError, canonical_restriction
+from privreg.irreducibility import reducing_leaves, witness_leaves
 from privreg.oracles import irreducible_bruteforce
 from privreg.trees import KTree, TreeError, augmented_root
 
-from helpers import F_TOY, build_reducing_tree_rescan, class_stream, dclass
+from helpers import (F_TOY, build_reducing_tree_rescan, class_stream, dclass,
+                     full_node, reduction_witness_tree_recursive)
 
 
 def test_is_l_irreducible_conventions():
@@ -206,6 +208,52 @@ def test_build_reducing_tree_matches_rescan():
                     assert tree.to_json(F.domain) == ref.to_json(F.domain)
                     checked[require] += tree.depth() > 1
     assert checked[True] >= 20 and checked[False] >= 20
+
+
+@pytest.mark.parametrize("nx, K", [(2, 4), (3, 5), (4, 6)])
+def test_leaf_paths_match_the_tree_references(nx, K):
+    # Witness trees against the KTree recursion, and reducing-tree leaves
+    # against the rescan reference, which grows its tree by that recursion.
+    # The references run on a copy of each class, so they share no memo.
+    rng = random.Random(97 + nx)
+    checked = {"witness": 0, "reducing": 0}
+    for F in itertools.islice(class_stream(101 + nx, nx=nx, K=K, max_h=12), 25):
+        ref_F = DiscreteClass(F.domain, F.K, F.hyps)
+        d = sfat2(F)
+        for l in (1, 2, 3):
+            tree = reduction_witness_tree(F, l)
+            ref = reduction_witness_tree_recursive(ref_F, l)
+            assert (tree is None) == (ref is None)
+            if tree is not None:
+                assert tree.to_json(F.domain) == ref.to_json(F.domain)
+                checked["witness"] += tree.depth() > 1
+        for x in range(nx):
+            for y in range(1, K + 1):
+                for ell_seq in ([2 ** t for t in range(d + 1)],
+                                [rng.choice((2, 3, 4)) ** t for t in range(d + 1)]):
+                    leaves = reducing_leaves(F, x, y, ell_seq)
+                    ref = build_reducing_tree_rescan(ref_F, x, y, ell_seq)
+                    assert leaves == tuple((pairs, m) for _, pairs, m in ref.leaves(ref_F) if m)
+                    checked["reducing"] += ref.depth() > 2
+    assert checked["witness"] >= 5 and checked["reducing"] >= 20
+
+
+def test_trees_are_fresh_and_the_memo_holds_leaf_tuples():
+    # _reduce_tree attaches witness trees into its own tree, so a memo that
+    # handed out a stored KTree would let one run change the next one's.
+    F = next(F for F in class_stream(71, nx=3, K=4, max_h=12)
+             if witness_leaves(F, 3) and max(len(p) for p, _ in witness_leaves(F, 3)) > 1)
+    first = reduction_witness_tree(F, 3)
+    want = first.to_json(F.domain)
+    second = reduction_witness_tree(F, 3)
+    assert second is not first and second.to_json(F.domain) == want
+    deep = max((p for p, _, _ in first.leaves(F)), key=len)
+    first.attach(full_node(0, F.K), deep)
+    assert first.to_json(F.domain) != want
+    assert second.to_json(F.domain) == want
+    assert reduction_witness_tree(F, 3).to_json(F.domain) == want
+    assert type(F.memo[("witness_leaves", F.mask, 3)]) is tuple
+    assert not any(isinstance(v, KTree) for v in F.memo.values())
 
 
 def test_reducing_tree_leaves_yield_ancestor_sets():
