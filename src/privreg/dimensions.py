@@ -11,10 +11,13 @@ or smaller child classes than the nearest integer in {2..K-1}.
 
 The recursion runs on bit masks over the root's rows, one (up, down) mask
 pair per threshold split, and keeps its values in one dict per root, keyed by
-mask.  A depth-r tree needs 2^r hypotheses, so sfat2(G) <= floor(log2 |G|):
-the search over G's splits stops once it reaches that cap, and skips any
-split whose smaller side has fewer than 2^best rows, since such a split
-cannot beat the best one found so far.  Both prunings are exact.
+mask; the splits and that dict are the root's memo entry "sfat2".  A query
+(sfat2, or sfat2_mask with no class built) reads that entry once and looks
+its mask up in the dict, and runs the recursion only on a miss.  A depth-r
+tree needs 2^r hypotheses, so sfat2(G) <= floor(log2 |G|): the search over
+G's splits stops once it reaches that cap, and skips any split whose smaller
+side has fewer than 2^best rows, since such a split cannot beat the best one
+found so far.  Both prunings are exact.
 
 fat_alpha runs on masks too: each point keeps the distinct (up, down) row
 masks of its thresholds, less any pair inside another on both sides, and the
@@ -31,12 +34,16 @@ from .classes import DiscreteClass, DomainError, RealClass, memoized
 
 def sfat2(F: DiscreteClass) -> int:
     """Sequential fat-shattering dimension at scale 2; -1 for the empty class."""
-    return _sfat(*_context(F), F.mask)
+    return sfat2_mask(F, F.mask)
 
 
 def sfat2_mask(F: DiscreteClass, mask: int) -> int:
     """sfat2 of the rows in mask of F's root, with no class built for them."""
-    return _sfat(*_context(F), mask)
+    context = F.memo.get("sfat2")
+    if context is None:
+        context = _context(F)
+    value = context[1].get(mask)
+    return _sfat(*context, mask) if value is None else value
 
 
 def _context(F: DiscreteClass) -> tuple:

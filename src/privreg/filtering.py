@@ -7,6 +7,10 @@ representatives plus reducing trees to turn a hypothesis that is merely close
 to the labeling of a stable subclass into a small set of classes guaranteed to
 contain one that depends only on that subclass.
 
+filter_step reads the restriction subclasses grouped by sfat2, in canonical
+order within each group, from the root's memo entry ("subclasses", mask); its
+agreement search ANDs the masks of (point, label) pairs and builds no class.
+
 soa_filter builds no tree: it reads each reducing tree's nonempty leaves,
 (pairs, mask), from reducing_leaves, kept in the root's memo under
 ("reducing_leaves", mask, x_a, y, ell_seq) beside the ("witness_leaves", mask,
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 
 from .classes import (DiscreteClass, DomainError, canonical_restriction, class_order,
                       enumerate_restriction_subclasses, memoized, sup_distance)
-from .dimensions import sfat2
+from .dimensions import sfat2, sfat2_mask
 from .irreducibility import is_l_irreducible, reducing_leaves, soa, soa_partial
 
 
@@ -65,14 +69,20 @@ class RepSet:
     members: tuple        # classes, canonical order
 
 
-def _subclasses(F: DiscreteClass) -> list:
-    return memoized(F.memo, ("subclasses", F.mask), enumerate_restriction_subclasses, F)
+def _subclasses_by_dim(F: DiscreteClass) -> dict:
+    """sfat2 value b -> the finite restriction subclasses of F with sfat2 = b,
+    in canonical order."""
+    by_dim: dict = {}
+    for H in enumerate_restriction_subclasses(F):
+        by_dim.setdefault(sfat2(H), []).append(H)
+    return by_dim
 
 
 def irreducible_subclasses(F: DiscreteClass, l: int, b: int) -> list:
     """Finite restriction subclasses of F with sfat2 = b that are
     l-irreducible, in canonical order."""
-    return [H for H in _subclasses(F) if sfat2(H) == b and is_l_irreducible(H, l)]
+    by_dim = memoized(F.memo, ("subclasses", F.mask), _subclasses_by_dim, F)
+    return [H for H in by_dim.get(b, ()) if is_l_irreducible(H, l)]
 
 
 def _agreement_restriction(F: DiscreteClass, L: DiscreteClass, H: DiscreteClass,
@@ -80,16 +90,21 @@ def _agreement_restriction(F: DiscreteClass, L: DiscreteClass, H: DiscreteClass,
     """Smallest set of (point, label) pairs on which soa(L) and soa(H) agree
     with that common label, whose restriction of F has sfat2 = b; None if no
     set of size <= max_size works."""
-    soa_l, soa_h = soa(L), soa(H)
+    soa_l, soa_h, eq = soa(L), soa(H), F.bits.eq
     agree = [(i, soa_h[i]) for i in range(F.domain.size) if soa_h[i] == soa_l[i]]
     for size in range(0, min(max_size, len(agree)) + 1):
         for combo in itertools.combinations(agree, size):
-            if sfat2(F.restrict(combo)) == b:
+            mask = F.mask
+            for i, k in combo:
+                mask &= eq[i][k]
+            if sfat2_mask(F, mask) == b:
                 return combo
     return None
 
 
 def filter_step(F: DiscreteClass, schedule: LadderSchedule, r_max: int) -> FilteredSets:
+    if r_max < 0:
+        raise DomainError("r_max must be >= 0")
     d = sfat2(F)
     if d < 0:
         raise DomainError("filter_step requires a nonempty class")
@@ -145,8 +160,9 @@ def _soa_filter(F: DiscreteClass, g_hat: tuple, schedule: LadderSchedule, d: int
     for j in range(d + 1):
         r = schedule.r_max - j * r0 - 1
         tau = j * tau0 + 2 + schedule.chi
-        # scans[t]: (L, soa(L)) for the ell(r, t)-irreducible L of sfat2 d - t.
-        scans = [[(L, soa(L)) for L in filtered.levels[d - t]
+        # scans[t]: (L, the (point, label) pairs of soa(L)) for the
+        # ell(r, t)-irreducible L of sfat2 d - t.
+        scans = [[(L, frozenset(enumerate(soa(L)))) for L in filtered.levels[d - t]
                   if is_l_irreducible(L, schedule.ell(r, t))] for t in range(d + 1)]
         # Restriction set -> F restricted to it; only nonempty classes queue.
         queue = {(): F}
@@ -159,7 +175,7 @@ def _soa_filter(F: DiscreteClass, g_hat: tuple, schedule: LadderSchedule, d: int
                 t = d - sfat2(H)
                 gaps = [_point_gap(soa_h[i], g_hat[i]) for i in range(F.domain.size)]
                 if max(gaps) <= tau:
-                    L = next((L for L, sl in scans[t] if all(sl[i] == y for i, y in a)), None)
+                    L = next((L for L, sl in scans[t] if sl.issuperset(a)), None)
                     if L is not None:
                         result[L.mask] = L
                     continue

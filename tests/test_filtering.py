@@ -3,7 +3,9 @@ import random
 
 import pytest
 
+import privreg.dimensions
 import privreg.filtering
+import privreg.irreducibility
 from privreg import (DiscreteClass, LadderSchedule, filter_step, is_l_irreducible, sfat2,
                      soa, soa_filter, sup_distance)
 from privreg.classes import DomainError, class_order, enumerate_restriction_subclasses
@@ -57,6 +59,13 @@ def test_filter_step_two_label_class():
         assert out.representative(H).hyps == F.hyps
 
 
+def test_filter_step_rejects_negative_r_max():
+    F = dclass([(1, 1), (1, 2), (2, 1), (2, 3), (3, 2), (4, 4)])
+    with pytest.raises(DomainError, match="r_max"):
+        filter_step(F, LadderSchedule(1, 3, 12, 5), -2)
+    assert not [key for key in F.memo if key[0] == "filter_step"]
+
+
 def test_filter_step_requires_nonempty():
     with pytest.raises(DomainError):
         filter_step(dclass([], nx=2), LadderSchedule(1, 1, 2, 1), 1)
@@ -91,6 +100,50 @@ def test_irreducible_subclasses_canonical_order():
     assert all(sfat2(H) == 1 and is_l_irreducible(H, 1) for H in subs)
     sizes = [len(H.hyps) for H in subs]
     assert sizes == sorted(sizes, reverse=True)
+
+
+@pytest.mark.parametrize("nx, K", [(2, 4), (3, 5), (4, 6)])
+def test_irreducible_subclasses_match_the_filter_over_all(nx, K):
+    # The grouped memo entry against filtering every restriction subclass,
+    # order included; the reference runs on a copy with a memo of its own.
+    for F in itertools.islice(class_stream(89 + K, nx=nx, K=K, max_h=10), 8):
+        ref_F = DiscreteClass(F.domain, F.K, F.hyps)
+        d = sfat2(F)
+        for b in range(-1, d + 2):
+            for l in range(1, 5):
+                expected = [H.hyps for H in enumerate_restriction_subclasses(ref_F)
+                            if sfat2(H) == b and is_l_irreducible(H, l)]
+                assert [H.hyps for H in irreducible_subclasses(F, l, b)] == expected
+
+
+def test_memo_hits_on_falsy_values_compute_nothing(monkeypatch):
+    calls = []
+
+    def counting(real):
+        def wrapper(*args):
+            calls.append(real.__name__)
+            return real(*args)
+        return wrapper
+
+    monkeypatch.setattr(privreg.dimensions, "_sfat", counting(privreg.dimensions._sfat))
+    monkeypatch.setattr(privreg.irreducibility, "_every_point_preserves",
+                        counting(privreg.irreducibility._every_point_preserves))
+    F = dclass(F_TOY.hyps)  # a fresh memo
+    empty, single = F.with_mask(0), F.with_mask(1)
+    assert (sfat2(empty), sfat2(single), is_l_irreducible(F, 1)) == (-1, 0, False)
+    assert calls
+    del calls[:]
+    assert (sfat2(empty), sfat2(single), is_l_irreducible(F, 1)) == (-1, 0, False)
+    assert privreg.dimensions.sfat2_mask(F, 0) == -1
+    assert calls == []
+
+    grouped = []
+    real = privreg.filtering.enumerate_restriction_subclasses
+    monkeypatch.setattr(privreg.filtering, "enumerate_restriction_subclasses",
+                        lambda G: grouped.append(G) or real(G))
+    filter_step(F, LadderSchedule(1, 3, 36, 5), 3)
+    filter_step(F, LadderSchedule(2, 2, 3, 1), 2)
+    assert len(grouped) == 1
 
 
 def test_soa_filter_divisibility():
