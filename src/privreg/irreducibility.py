@@ -1,10 +1,19 @@
 """Irreducibility levels, the standard optimal labeling, and reduction trees.
 
 A class F is l-irreducible when every K-ary domain-labeled tree of depth
-between 1 and l has a leaf v with sfat2(F|a(v)) = sfat2(F).  The equivalent
-recursive form is used for computation: F is l-irreducible iff l = 0, or F is
-empty, or for every point x some label k has sfat2(F|(x,k)) = sfat2(F) with
-F|(x,k) being (l-1)-irreducible.
+between 1 and l has a leaf v with sfat2(F|a(v)) = sfat2(F).  Recursively: F
+is l-irreducible iff l = 0, or F is empty, or at every point x some keeper
+F|(x,k), a label restriction with sfat2(F|(x,k)) = sfat2(F), is
+(l-1)-irreducible.  So every question reads one number, the level, kept per
+class under ("irreducibility_level", mask): INFINITE when sfat2(F) <= 0, else
+1 + the minimum, over the points where F is not constant, of the highest
+keeper level there (0 at a point with no keeper).  A constant point's one
+keeper is F itself, which bounds nothing; every other keeper is smaller.
+
+A witness tree for level l splits on the first point whose keepers all have
+level below l - 1.  At a constant point (x, c) it writes (x, c) once and goes
+on with F's own witness tree at level(F) + 1, so no path repeats one pair
+more than twice in a row, however large l is.
 """
 
 from __future__ import annotations
@@ -21,18 +30,7 @@ INFINITE = math.inf
 def is_l_irreducible(F: DiscreteClass, l: int) -> bool:
     if l < 0:
         raise DomainError(f"irreducibility level {l} must be nonnegative")
-    if l == 0 or F.is_empty:
-        return True
-    d = sfat2(F)
-    if d == 0:
-        # No tree can preserve a positive dimension that is not there; every
-        # restriction of a nonempty sfat2=0 class along its own values stays
-        # nonempty, so some leaf always keeps sfat2 = 0.
-        return True
-    # Past the constant points skipped below, every step strictly shrinks
-    # the class, so levels beyond |F| all give the same answer.
-    l = min(l, len(F.hyps))
-    return memoized(F.memo, ("is_l_irreducible", F.mask, l), _every_point_preserves, F, l, d)
+    return l <= irreducibility_level(F)
 
 
 def _keepers(F: DiscreteClass, eq: list, d: int) -> dict:
@@ -42,32 +40,24 @@ def _keepers(F: DiscreteClass, eq: list, d: int) -> dict:
             if (sub := F.mask & eq[k]) and sfat2_mask(F, sub) == d}
 
 
-def _every_point_preserves(F: DiscreteClass, l: int, d: int) -> bool:
-    for eq in F.bits.eq:
-        keep = _keepers(F, eq, d).values()
-        # At a constant point the condition reads "F is (l-1)-irreducible",
-        # which, the property being monotone in l, the other points imply.
-        if any(G.mask == F.mask for G in keep):
-            continue
-        if not any(is_l_irreducible(G, l - 1) for G in keep):
-            return False
-    return True
-
-
 def irreducibility_level(F: DiscreteClass):
-    """Largest l with F l-irreducible, or INFINITE.
+    """Largest l with F l-irreducible, or INFINITE when sfat2(F) <= 0."""
+    return memoized(F.memo, ("irreducibility_level", F.mask), _level, F)
 
-    Classes with sfat2 <= 0 are l-irreducible for every l.  When sfat2 >= 1
-    each extra level forces the property through a strictly smaller subclass
-    of equal dimension, so the level is below |F|, which bounds the search.
-    """
+
+def _level(F: DiscreteClass):
     d = sfat2(F)
     if d <= 0:
         return INFINITE
-    level = 0
-    while level < len(F.hyps) and is_l_irreducible(F, level + 1):
-        level += 1
-    return level
+    # A point without a keeper settles level 0 before any keeper's level is asked.
+    points = []
+    for eq in F.bits.eq:
+        keep = _keepers(F, eq, d).values()
+        if not keep:
+            return 0
+        if all(G.mask != F.mask for G in keep):
+            points.append(keep)
+    return 1 + min(max(map(irreducibility_level, keep)) for keep in points)
 
 
 def soa(G: DiscreteClass) -> tuple:
@@ -121,13 +111,18 @@ def witness_leaves(F: DiscreteClass, l: int) -> "tuple | None":
 
 
 def _witness_leaves(F: DiscreteClass, l: int) -> "tuple | None":
-    if is_l_irreducible(F, l):
+    level = irreducibility_level(F)
+    if l <= level:
         return None
     d = sfat2(F)
     for i, eq in enumerate(F.bits.eq):
         keep = _keepers(F, eq, d)
-        if any(is_l_irreducible(G, l - 1) for G in keep.values()):
+        if any(irreducibility_level(G) >= l - 1 for G in keep.values()):
             continue
+        if any(G.mask == F.mask for G in keep.values()):
+            # F is constant at i: its own witness tree at level + 1 follows (i, k).
+            (k,) = keep
+            return tuple((((i, k),) + pairs, m) for pairs, m in witness_leaves(F, level + 1))
         # Here every child keeping sfat2 = d is not (l-1)-irreducible, so l >= 2
         # and it has witness leaves; the tree stops at every other label.
         out = []

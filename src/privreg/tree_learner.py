@@ -17,7 +17,8 @@ import numpy as np
 from .classes import (DiscreteClass, DomainError, EmpiricalDistribution, empirical_errors,
                       memoized)
 from .dimensions import sfat2, sfat2_mask
-from .irreducibility import is_l_irreducible, reduction_witness_tree, soa
+from .irreducibility import (irreducibility_level, is_l_irreducible,
+                             reduction_witness_tree, soa)
 from .trees import KTree
 
 # Empirical errors are correctly rounded integers over n; thresholds carry >= 1
@@ -143,8 +144,7 @@ def _reduce_tree(levels: tuple, out_levels: tuple, params: ReduceTreeParams,
         for p, lo in lows:
             if sfat2(lo) < w_star:
                 continue
-            ell_v = next(l for l in range(1, params.ell(t) + 1)
-                         if not is_l_irreducible(lo, l))
+            ell_v = irreducibility_level(lo) + 1
             witness = reduction_witness_tree(lo, ell_v)
             assert witness is not None and witness.depth() <= ell_v
             tree.attach(witness, p)

@@ -2,8 +2,8 @@
 
 import random
 
-from privreg import (BOTTOM, DiscreteClass, Domain, EmpiricalDistribution, KTree,
-                     PrivacyParams, RealClass, ReduceTreeError, ReduceTreeParams,
+from privreg import (BOTTOM, INFINITE, DiscreteClass, Domain, EmpiricalDistribution,
+                     KTree, PrivacyParams, RealClass, ReduceTreeError, ReduceTreeParams,
                      RunFailure, SelectionInstance, build_reducing_tree,
                      compute_parameters, discretize_class, discretize_dataset,
                      filter_step, is_l_irreducible, noisy_opt_error, reduce_tree_reg,
@@ -64,6 +64,45 @@ def ktree_from_json(obj, domain) -> KTree:
     return KTree(domain.index(obj["point"]), children)
 
 
+def is_l_irreducible_bounded(F: DiscreteClass, l: int, memo=None) -> bool:
+    """Reference for is_l_irreducible: the bounded recursion on (mask, l),
+    constant points skipped and l clamped to |F|, with a memo per call."""
+    if l < 0:
+        raise DomainError(f"irreducibility level {l} must be nonnegative")
+    memo = {} if memo is None else memo
+    if l == 0 or F.is_empty:
+        return True
+    d = sfat2(F)
+    if d == 0:
+        return True
+    # Past constant points every step strictly shrinks the class, so levels
+    # beyond |F| all give the same answer.
+    l = min(l, len(F.hyps))
+    key = (F.mask, l)
+    if key not in memo:
+        memo[key] = True
+        for eq in F.bits.eq:
+            keep = _keepers(F, eq, d).values()
+            if any(G.mask == F.mask for G in keep):
+                continue
+            if not any(is_l_irreducible_bounded(G, l - 1, memo) for G in keep):
+                memo[key] = False
+                break
+    return memo[key]
+
+
+def irreducibility_level_bounded(F: DiscreteClass):
+    """Reference for irreducibility_level: the bounded recursion asked level
+    by level upward, below |F| when sfat2 >= 1."""
+    if sfat2(F) <= 0:
+        return INFINITE
+    memo: dict = {}
+    level = 0
+    while level < len(F.hyps) and is_l_irreducible_bounded(F, level + 1, memo):
+        level += 1
+    return level
+
+
 def reduction_witness_tree_recursive(F: DiscreteClass, l: int) -> "KTree | None":
     """Reference for reduction_witness_tree: the same point search written as
     a KTree recursion that builds each node, with no leaf paths and no memo."""
@@ -81,6 +120,36 @@ def reduction_witness_tree_recursive(F: DiscreteClass, l: int) -> "KTree | None"
         return KTree(i, {k: reduction_witness_tree_recursive(keep[k], l - 1) if k in keep
                          else KTree.leaf() for k in range(1, F.K + 1)})
     raise AssertionError("non-irreducible class must have a failing point")
+
+
+def collapse_runs(pairs: tuple) -> tuple:
+    """pairs with every run of one repeated pair written once."""
+    return tuple(p for j, p in enumerate(pairs) if j == 0 or pairs[j - 1] != p)
+
+
+def longest_run(pairs: tuple) -> int:
+    """Length of the longest run of one repeated pair in pairs."""
+    best = run = 0
+    for j, p in enumerate(pairs):
+        run = run + 1 if j and pairs[j - 1] == p else 1
+        best = max(best, run)
+    return best
+
+
+def leaves_match_up_to_runs(leaves, ref: KTree, F: DiscreteClass) -> int:
+    """Check leaves, nonempty (pairs, mask) in leaf order, against those of
+    the reference tree ref: equal where ref repeats no pair twice in a row,
+    else equal once every run of one pair is collapsed.  No run in leaves is
+    longer than 2.  Returns the longest run of one pair in ref."""
+    ref_leaves = tuple((pairs, m) for _, pairs, m in ref.leaves(F) if m)
+    assert all(longest_run(pairs) <= 2 for pairs, _ in leaves)
+    ref_run = max((longest_run(pairs) for _, pairs, _ in ref.leaves(F)), default=0)
+    if ref_run < 2:
+        assert tuple(leaves) == ref_leaves
+    else:
+        assert ([(collapse_runs(p), m) for p, m in leaves]
+                == [(collapse_runs(p), m) for p, m in ref_leaves])
+    return ref_run
 
 
 def build_reducing_tree_rescan(H: DiscreteClass, x_index: int, y: int, ell_seq) -> KTree:

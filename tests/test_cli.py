@@ -1,9 +1,11 @@
 import json
+import random
 
 import numpy as np
 import pytest
 
 import privreg.cli
+from privreg import sfat2
 from privreg.cli import (EXIT_BOTTOM, EXIT_INTERNAL, EXIT_OK, EXIT_PRECONDITION,
                          EXIT_REDUCE_TREE_ERROR, EXIT_SCHEMA, main)
 
@@ -188,6 +190,21 @@ def test_soafilter_negative_schedule_is_a_precondition(tmp_path, capsys, r_max, 
     else:
         assert report is None
         assert "r_max and tau_max must be >= 0" in capsys.readouterr().err
+
+
+def test_soafilter_on_an_sfat2_5_class(tmp_path, capsys):
+    # The filter asks for witness trees up to level (d+3)^d = 32,768 here; a
+    # constant point must not make the tree's depth follow that level.
+    rng = random.Random(0)
+    F = dclass({tuple(rng.randint(1, 8) for _ in range(5)) for _ in range(48)}, K=8, nx=5)
+    g_hat = [rng.randint(1, 8) for _ in range(5)]
+    assert g_hat == [6, 1, 8, 8, 7] and sfat2(F) == 5
+    cfg = _write(tmp_path / "cfg.json", {
+        "class": _discrete_class_file(tmp_path, F), "g_hat": g_hat,
+        "ell_bar": 1, "r_max": 6, "tau_max": 72, "chi": 5})
+    code, report = _run(tmp_path, ["soafilter", "--config", cfg])
+    assert code == EXIT_OK, capsys.readouterr().err
+    assert report["body"]["outputs"]["members"]
 
 
 def test_reglearn_bottom_exit_code(tmp_path):

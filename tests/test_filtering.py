@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -7,7 +9,7 @@ import privreg.dimensions
 import privreg.filtering
 import privreg.irreducibility
 from privreg import (DiscreteClass, LadderSchedule, filter_step, is_l_irreducible, sfat2,
-                     soa, soa_filter, sup_distance)
+                     soa, soa_filter, strong_stability_target, sup_distance)
 from privreg.classes import DomainError, class_order, enumerate_restriction_subclasses
 from privreg.filtering import irreducible_subclasses
 
@@ -126,8 +128,8 @@ def test_memo_hits_on_falsy_values_compute_nothing(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(privreg.dimensions, "_sfat", counting(privreg.dimensions._sfat))
-    monkeypatch.setattr(privreg.irreducibility, "_every_point_preserves",
-                        counting(privreg.irreducibility._every_point_preserves))
+    monkeypatch.setattr(privreg.irreducibility, "_level",
+                        counting(privreg.irreducibility._level))
     F = dclass(F_TOY.hyps)  # a fresh memo
     empty, single = F.with_mask(0), F.with_mask(1)
     assert (sfat2(empty), sfat2(single), is_l_irreducible(F, 1)) == (-1, 0, False)
@@ -252,3 +254,53 @@ def test_soa_filter_reuses_reducing_trees(monkeypatch):
     before = len(built)
     soa_filter(F, g_hats[0], sched, trace=[])
     assert len(built) == before
+
+
+def test_soa_filter_keeps_the_strong_stability_target():
+    # Class 41 of this stream has a point that is constant on some reducing-
+    # tree leaves; a witness tree that passed over such points would split
+    # elsewhere and drop l_star.  Every G the oracle accepts, every g_hat
+    # within 1 of soa(G), chi = 1.
+    F = next(itertools.islice(class_stream(71, nx=3, K=4, max_h=12), 41, None))
+    assert F.hyps == ((1, 1, 3), (1, 4, 3), (2, 1, 1), (2, 1, 4), (2, 2, 2), (2, 4, 3),
+                      (3, 1, 2), (3, 3, 3), (4, 3, 3))
+    d = sfat2(F)
+    sched = LadderSchedule(1, d + 1, 4 * (d + 1), 1)
+    checks = 0
+    for G in enumerate_restriction_subclasses(F):
+        if G.is_empty:
+            continue
+        try:
+            l_star = strong_stability_target(F, G, 1, 1).l_star
+        except DomainError:
+            continue
+        near = [sorted({min(F.K, max(1, v + e)) for e in (-1, 0, 1)}) for v in soa(G)]
+        for g_hat in itertools.product(*near):
+            members = {L.hyps for L in soa_filter(F, g_hat, sched).members}
+            assert l_star.hyps in members, (G.hyps, g_hat)
+            checks += 1
+    assert checks >= 200
+
+
+def test_soa_filter_members_on_sfat2_4_classes():
+    # Members on the first 12 seeded classes of 24 distinct rows in
+    # {1..6}^4 with sfat2 = 4, two g_hats near stable labelings per class
+    # and schedule; the hash was taken before witness trees wrote a constant
+    # point's pair once.
+    records = []
+    for seed in itertools.count():
+        rng = random.Random(seed)
+        hyps: set = set()
+        while len(hyps) < 24:
+            hyps.add(tuple(rng.randint(1, 6) for _ in range(4)))
+        F = dclass(hyps, K=6, nx=4)
+        if sfat2(F) != 4:
+            continue
+        for sched in (LadderSchedule(1, 5, 60, 5), LadderSchedule(1, 5, 5, 1)):
+            for g in _g_hats(F, rng, 2):
+                records.append([seed, list(g), [L.hyps for L in soa_filter(F, g, sched).members]])
+        if len(records) == 48:
+            break
+    assert all(members for _, _, members in records)
+    digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+    assert digest == "1f7b970b27f42e558b176a44b1b17dea7a05b6e8c09ea9c1760051484a04f308"
