@@ -59,15 +59,16 @@ def laplace_sample(b: float, rng: np.random.Generator) -> float:
 
 
 def noisy_opt_error(F: DiscreteClass, cells: np.ndarray, epsilon: float,
-                    n1: int, rng: np.random.Generator) -> float:
-    """Minimum empirical error over F on the n1 samples given by their
-    sample_cells, plus Laplace(2K/(epsilon*n1)) noise.
+                    rng: np.random.Generator) -> float:
+    """Minimum empirical error over F on the n1 = len(cells) samples given by
+    their sample_cells, plus Laplace(2K/(epsilon*n1)) noise.
 
     The minimum has sensitivity at most K/n1 under single-sample replacement,
     so the release satisfies (epsilon/2, 0)-DP.
     """
-    if n1 < 1 or len(cells) != n1:
-        raise DomainError(f"need the cells of n1 >= 1 samples, got {len(cells)} for n1 = {n1}")
+    n1 = len(cells)
+    if n1 < 1:
+        raise DomainError("need the cells of at least one sample")
     if F.is_empty:
         raise DomainError("empty class has no minimum error")
     return float(group_errors(F, cells, n1).min()) + laplace_sample(2.0 * F.K / (epsilon * n1), rng)
@@ -83,7 +84,7 @@ def candidate_id(vector) -> str:
 class SelectionInstance:
     user_sets: list            # list of lists of candidate ids
     sparsity: int
-    truncated_users: list = field(default_factory=list)
+    truncated_users: list = field(init=False)
 
     def __post_init__(self):
         if self.sparsity < 1:

@@ -12,9 +12,8 @@ order within each group, from the root's memo entry ("subclasses", mask); its
 agreement search ANDs the masks of (point, label) pairs and builds no class.
 
 soa_filter builds no tree: it reads each reducing tree's nonempty leaves,
-(pairs, mask), from reducing_leaves, kept in the root's memo under
-("reducing_leaves", mask, x_a, y, ell_seq) beside the ("witness_leaves", mask,
-l) entries they are made of, and freed with it.
+(pairs, mask), from reducing_leaves, which keeps them in the root's memo beside
+the witness leaves they are made of.
 """
 
 from __future__ import annotations
@@ -183,8 +182,7 @@ def _soa_filter(F: DiscreteClass, g_hat: tuple, schedule: LadderSchedule, d: int
                 k = g_hat[x_a]
                 ell_seq = tuple(schedule.ell(r, t + tt) for tt in range(d - t + 1))
                 for y in range(max(1, k - tau + 1), min(F.K, k + tau - 1) + 1):
-                    key = ("reducing_leaves", H.mask, x_a, y, ell_seq)
-                    for pairs, m in memoized(H.memo, key, reducing_leaves, H, x_a, y, ell_seq):
+                    for pairs, m in reducing_leaves(H, x_a, y, ell_seq):
                         if all(abs(g_hat[i] - yy) <= tau - 1 for i, yy in pairs):
                             next_queue[canonical_restriction(a + pairs)] = H.with_mask(m)
             queue = next_queue

@@ -158,11 +158,17 @@ def reducing_leaves(H: DiscreteClass, x_index: int, y: int, ell_seq) -> tuple:
     augmented tree rooted by (x,y) whose leaves are empty or irreducible at
     their level: ell_seq, of sfat2(H)+1 entries, requires ell_seq[t] of leaves
     v with sfat2(H|a(v)) = sfat2(H) - t.  From the rooted pair on, a leaf
-    failing its level is replaced by its witness leaves."""
+    failing its level is replaced by its witness leaves.  Kept in H's memo
+    under ("reducing_leaves", mask, x_index, y, ell_seq)."""
+    ell_seq = tuple(ell_seq)
+    return memoized(H.memo, ("reducing_leaves", H.mask, x_index, y, ell_seq),
+                    _reducing_leaves, H, x_index, y, ell_seq)
+
+
+def _reducing_leaves(H: DiscreteClass, x_index: int, y: int, ell_seq: tuple) -> tuple:
     if H.is_empty:
         raise DomainError("reducing tree requires a nonempty class")
     d = sfat2(H)
-    ell_seq = tuple(ell_seq)
     if len(ell_seq) < d + 1:
         raise DomainError(f"level sequence needs {d + 1} entries, got {len(ell_seq)}")
     if any(l < 1 for l in ell_seq):

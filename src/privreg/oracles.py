@@ -14,7 +14,7 @@ from .classes import (DiscreteClass, DomainError, EmpiricalDistribution, class_o
 from .dimensions import sfat2
 from .filtering import LadderSchedule, filter_step
 from .irreducibility import is_l_irreducible, soa
-from .tree_learner import level_class
+from .tree_learner import ALPHA_DELTA, level_class
 
 
 class OracleRefusal(ValueError):
@@ -113,7 +113,7 @@ class WeakStabilityTarget:
 
 def weak_stability_target(F: DiscreteClass, P: EmpiricalDistribution,
                           alpha: float, t: int, ell_prime: int,
-                          alpha_delta: float = 18.0) -> WeakStabilityTarget:
+                          alpha_delta: float = ALPHA_DELTA) -> WeakStabilityTarget:
     """Exhaustive construction of the data-independent weak-stability target.
 
     Enumerates restriction sets S of size <= ell_t - ell_prime, keeps those

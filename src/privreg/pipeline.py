@@ -23,9 +23,14 @@ from .dp import (BOTTOM, PrivacyParams, SelectionInstance, candidate_id,
                  noisy_opt_error, rng_stream, sparse_select)
 from .filtering import LadderSchedule, soa_filter
 from .irreducibility import soa
-from .tree_learner import ReduceTreeError, ReduceTreeParams, reduce_tree_rows
+from .tree_learner import ALPHA_DELTA, ReduceTreeError, ReduceTreeParams, reduce_tree_rows
 
 _DESK_SCALE_CUTOFF = 10 ** 7
+# The sample-size formulas' constants: C0 scales n0, n1 and ell_prime, C
+# scales m, and c0 * eta is the margin of fat_alpha.
+C0 = 4.0
+C = 4.0
+c0 = 0.25
 
 
 class TheoreticalScaleError(RuntimeError):
@@ -48,10 +53,6 @@ class RegLearnConfig:
     eta_bar: float
     beta: float
     ell_bar: int
-    C0: float = 4.0
-    c0: float = 0.25
-    C1: float = 2.0
-    C: float = 4.0
     m: "int | None" = None
     n0: "int | None" = None
     n1: "int | None" = None
@@ -82,18 +83,10 @@ class ResolvedParams:
     m: int
     n0: int
     n1: int
-    alpha_delta: float
     ell_prime: int
-    tau_max: int
-    r_max: int
-    chi: int
     schedule: LadderSchedule
     fat: int
     overridden: tuple = ()
-
-    @property
-    def n(self) -> int:
-        return self.n0 * self.m
 
 
 @dataclass
@@ -123,26 +116,22 @@ def compute_parameters(H: RealClass, cfg: RegLearnConfig) -> ResolvedParams:
     if d < 0:
         raise DomainError("empty hypothesis class")
     eta = cfg.eta_bar
-    fat = fat_alpha(H, cfg.c0 * eta)
+    fat = fat_alpha(H, c0 * eta)
     logterm = math.log(1.0 / (cfg.epsilon * cfg.delta * cfg.beta * eta))
-    m_f = cfg.C * cfg.ell_bar * (2 * d + 6) ** (d + 4) * logterm ** 2 / (cfg.epsilon * eta ** 2)
+    m_f = C * cfg.ell_bar * (2 * d + 6) ** (d + 4) * logterm ** 2 / (cfg.epsilon * eta ** 2)
     m, m_ovr = _resolve("m", m_f, cfg.m)
-    n0_f = cfg.C0 * (max(fat, 0) * math.log(1.0 / eta) + math.log(4 * m / cfg.beta)) / eta ** 2
+    n0_f = C0 * (max(fat, 0) * math.log(1.0 / eta) + math.log(4 * m / cfg.beta)) / eta ** 2
     n0, n0_ovr = _resolve("n0", n0_f, cfg.n0)
-    n1_f = (cfg.C0 * max(fat, 0) * math.log(1.0 / eta) + math.log(8 / cfg.beta)) / (cfg.epsilon * eta ** 2)
+    n1_f = (C0 * max(fat, 0) * math.log(1.0 / eta) + math.log(8 / cfg.beta)) / (cfg.epsilon * eta ** 2)
     n1, n1_ovr = _resolve("n1", n1_f, cfg.n1)
-    ellp_f = max(cfg.ell_bar * (d + 3) ** d, cfg.C0 * K ** 2 * (d * math.log(K) + 1))
+    ellp_f = max(cfg.ell_bar * (d + 3) ** d, C0 * K ** 2 * (d * math.log(K) + 1))
     ell_prime, ellp_ovr = _resolve("ell_prime", ellp_f, cfg.ell_prime)
-    tau_max = 12 * (d + 1)
-    r_max = d + 1
-    schedule = LadderSchedule(cfg.ell_bar, r_max, tau_max, cfg.chi)
+    schedule = LadderSchedule(cfg.ell_bar, d + 1, 12 * (d + 1), cfg.chi)
     overridden = tuple(n for n, f in
                        (("m", m_ovr), ("n0", n0_ovr), ("n1", n1_ovr),
                         ("ell_prime", ellp_ovr)) if f)
-    return ResolvedParams(K=K, d=d, m=m, n0=n0, n1=n1, alpha_delta=18.0,
-                          ell_prime=ell_prime, tau_max=tau_max, r_max=r_max,
-                          chi=cfg.chi, schedule=schedule, fat=fat,
-                          overridden=overridden)
+    return ResolvedParams(K=K, d=d, m=m, n0=n0, n1=n1, ell_prime=ell_prime,
+                          schedule=schedule, fat=fat, overridden=overridden)
 
 
 def _member_ids(F: DiscreteClass, g_hat: tuple, schedule: LadderSchedule) -> tuple:
@@ -174,9 +163,9 @@ def reg_learn(H: RealClass, data, cfg: RegLearnConfig, seed: "int | None" = None
     disc = discretize_dataset(data[:need], cfg.eta_bar)
     cells = sample_cells(disc, F.domain.size, params.K)
 
-    eta_hat = noisy_opt_error(F, cells[:params.n1], cfg.epsilon, params.n1, rng)
-    alpha1 = eta_hat + params.alpha_delta / 2 + params.d * params.alpha_delta
-    rt_params = ReduceTreeParams(alpha1, params.alpha_delta, params.ell_prime)
+    eta_hat = noisy_opt_error(F, cells[:params.n1], cfg.epsilon, rng)
+    alpha1 = eta_hat + ALPHA_DELTA / 2 + params.d * ALPHA_DELTA
+    rt_params = ReduceTreeParams(alpha1, ALPHA_DELTA, params.ell_prime)
 
     errs = group_errors(F, cells[params.n1:], params.n0)
     results, index = reduce_tree_rows(F, errs, rt_params)

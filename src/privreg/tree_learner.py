@@ -4,8 +4,8 @@ labelings from its irreducible leaves.
 The learner runs d = sfat2(F) rounds.  Each round looks at the leaves whose
 restricted low-error class attains the maximum sfat2; it breaks as soon as one
 of them is irreducible at the round's level and stable under the alpha step,
-and otherwise expands those leaves with witness trees that strictly reduce
-sfat2 below them.
+and otherwise grows each of those leaves, in place, along the leaves of a
+witness tree that strictly reduces sfat2 below it.
 """
 
 from __future__ import annotations
@@ -17,13 +17,15 @@ import numpy as np
 from .classes import (DiscreteClass, DomainError, EmpiricalDistribution, empirical_errors,
                       memoized)
 from .dimensions import sfat2, sfat2_mask
-from .irreducibility import (irreducibility_level, is_l_irreducible,
-                             reduction_witness_tree, soa)
+from .irreducibility import irreducibility_level, is_l_irreducible, soa, witness_leaves
 from .trees import KTree
 
 # Empirical errors are correctly rounded integers over n; thresholds carry >= 1
 # slack, so a fixed tiny tolerance on the comparison cannot flip any semantics.
 _ERR_SLACK = 1e-9
+
+# The learner's alpha step, in label steps: 18 * eta on the real scale.
+ALPHA_DELTA = 18.0
 
 
 class ReduceTreeError(RuntimeError):
@@ -119,10 +121,10 @@ def reduce_tree_rows(F: DiscreteClass, errs: np.ndarray, params: ReduceTreeParam
 
 
 def _max_dim_leaves(tree: KTree, level: DiscreteClass):
-    """The highest sfat2 of level at a leaf, and the (path, mask of level's
-    rows there) of the leaves attaining it, in leaf order."""
-    leaves = [(p, m) for p, _, m in tree.leaves(level)]
-    dims = [sfat2_mask(level, m) for _, m in leaves]
+    """The highest sfat2 of level at a leaf, and the (path, pairs, mask of
+    level's rows there) of the leaves attaining it, in leaf order."""
+    leaves = list(tree.leaves(level))
+    dims = [sfat2_mask(level, m) for _, _, m in leaves]
     w_star = max(dims)
     return w_star, [leaf for leaf, w in zip(leaves, dims) if w == w_star]
 
@@ -137,25 +139,23 @@ def _reduce_tree(levels: tuple, out_levels: tuple, params: ReduceTreeParams,
             raise ReduceTreeError(f"all leaf classes empty at round {t}")
         # Each front leaf's class one alpha step down, a subclass of its class
         # at this round's level (levels[t] is inside levels[t-1]): sfat2 <= w_star.
-        lows = [(p, levels[t].with_mask(levels[t].mask & m)) for p, m in front]
+        lows = [(pairs, levels[t].with_mask(levels[t].mask & m)) for _, pairs, m in front]
         if any(sfat2(lo) == w_star and is_l_irreducible(lo, params.ell(t)) for _, lo in lows):
             t_final = t - 1
             break
-        for p, lo in lows:
+        for pairs, lo in lows:
             if sfat2(lo) < w_star:
                 continue
-            ell_v = irreducibility_level(lo) + 1
-            witness = reduction_witness_tree(lo, ell_v)
-            assert witness is not None and witness.depth() <= ell_v
-            tree.attach(witness, p)
+            below = witness_leaves(lo, irreducibility_level(lo) + 1)
+            tree.grow([(pairs + q, m) for q, m in below], lo.K)
 
     _, front = _max_dim_leaves(tree, levels[t_final])
     # out_levels[t_final] is inside levels[t_final], whose leaf masks front has.
     last = out_levels[t_final]
     candidates = []
-    for _, m in front:
+    for _, _, m in front:
         cls = last.with_mask(last.mask & m)
         if not cls.is_empty and is_l_irreducible(cls, params.ell_prime):
             candidates.append(soa(cls))
     return ReduceTreeOutput(tuple(sorted(set(candidates))), tree,
-                            tuple(p for p, _ in front), t_final)
+                            tuple(p for p, _, _ in front), t_final)

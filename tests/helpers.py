@@ -12,6 +12,7 @@ from privreg import (BOTTOM, INFINITE, DiscreteClass, Domain, EmpiricalDistribut
 from privreg.classes import DomainError, canonical_restriction, class_order, sample_cells
 from privreg.irreducibility import _keepers, soa_partial
 from privreg.pipeline import _member_ids
+from privreg.tree_learner import ALPHA_DELTA
 from privreg.trees import augmented_root
 
 
@@ -311,10 +312,9 @@ def reg_learn_per_group(H: RealClass, data, cfg, seed: int):
     groups = [disc[params.n1 + j * params.n0: params.n1 + (j + 1) * params.n0]
               for j in range(params.m)]
 
-    eta_hat = noisy_opt_error(F, sample_cells(T, F.domain.size, F.K),
-                              cfg.epsilon, params.n1, rng)
-    alpha1 = eta_hat + params.alpha_delta / 2 + params.d * params.alpha_delta
-    rt_params = ReduceTreeParams(alpha1, params.alpha_delta, params.ell_prime)
+    eta_hat = noisy_opt_error(F, sample_cells(T, F.domain.size, F.K), cfg.epsilon, rng)
+    alpha1 = eta_hat + ALPHA_DELTA / 2 + params.d * ALPHA_DELTA
+    rt_params = ReduceTreeParams(alpha1, ALPHA_DELTA, params.ell_prime)
 
     group_sets, s_sizes, abstained = [], [], []
     id_to_class: dict = {}

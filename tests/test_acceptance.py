@@ -419,7 +419,8 @@ def _desk_sampler(n, rng):
 def test_criterion_7_end_to_end_desk_run():
     test_data = _desk_sampler(2000, rng_stream(999))
     d = 2
-    bound = 30 * (d + 2) * 0.5 + 2 * _DESK_CFG.C1 * 0.5   # = 62.0
+    C1 = 2.0
+    bound = 30 * (d + 2) * 0.5 + 2 * C1 * 0.5   # = 62.0
     good = 0
     for s in range(50):
         try:

@@ -59,14 +59,12 @@ def test_laplace_sample_draws_again_on_zero():
 def test_noisy_opt_error():
     P = EmpiricalDistribution.from_samples([(0, 1), (1, 3)])
     cells = sample_cells(P.samples, 2, F_TOY.K)
-    total = noisy_opt_error(F_TOY, cells, 0.5, 2, rng_stream(3))
+    total = noisy_opt_error(F_TOY, cells, 0.5, rng_stream(3))
     assert total == min_error(F_TOY, P) + laplace_sample(2 * F_TOY.K / (0.5 * 2), rng_stream(3))
     with pytest.raises(DomainError):
-        noisy_opt_error(F_TOY, cells[:0], 0.5, 0, rng_stream(3))
-    with pytest.raises(DomainError, match="got 2 for n1 = 1"):
-        noisy_opt_error(F_TOY, cells, 0.5, 1, rng_stream(3))
+        noisy_opt_error(F_TOY, cells[:0], 0.5, rng_stream(3))
     with pytest.raises(DomainError, match="empty class"):
-        noisy_opt_error(dclass([]), cells, 0.5, 2, rng_stream(3))
+        noisy_opt_error(dclass([]), cells, 0.5, rng_stream(3))
 
 
 def test_candidate_id():

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -6,6 +8,8 @@ from privreg import (EmpiricalDistribution, RegLearnConfig, RunFailure,
                      TheoreticalScaleError, compute_parameters, excess_risk,
                      reg_learn, rng_stream, undisc_hypothesis)
 from privreg.classes import DomainError, RealClass
+from privreg.pipeline import c0
+from privreg.tree_learner import ALPHA_DELTA
 
 from helpers import (H_DESK, X2, X3, make_domain, reg_learn_per_group, reg_learn_result)
 
@@ -40,20 +44,19 @@ def test_config_validation():
 def test_compute_parameters_desk():
     params = compute_parameters(H_DESK, RegLearnConfig(**DESK))
     assert params.K == 4 and params.d == 2
-    assert params.alpha_delta == 18.0
-    assert params.tau_max == 12 * (params.d + 1)
-    assert params.r_max == params.d + 1
-    assert params.chi == 5
+    assert ALPHA_DELTA == 18.0
+    assert params.schedule.tau_max == 12 * (params.d + 1)
+    assert params.schedule.r_max == params.d + 1
+    assert params.schedule.chi == 5
     assert params.schedule.ell(0, 2) == 4
     assert set(params.overridden) == {"m", "n0", "n1", "ell_prime"}
-    assert params.n == 60 * 40
 
 
 def test_compute_parameters_memoizes_fat_alpha():
     H = RealClass(X2, H_DESK.hyps)
     cfg = RegLearnConfig(**DESK)
     params = compute_parameters(H, cfg)
-    assert H.memo[("fat_alpha", H.hyps, cfg.c0 * cfg.eta_bar)] == params.fat
+    assert H.memo[("fat_alpha", H.hyps, c0 * cfg.eta_bar)] == params.fat
 
 
 def test_compute_parameters_at_k_241():
@@ -186,6 +189,35 @@ def test_reg_learn_bottom_failure():
     with pytest.raises(RunFailure) as exc:
         reg_learn(H, _sampler, cfg, seed=0)
     assert exc.value.transcript["winner"] is None
+
+
+# sha256 of _pinned_records(); it pins reg_learn's outputs byte for byte.
+PINNED = "52e5faa466a72b198cca72b5a9233a8bed82349d62c392fcd3be463fc722fbe8"
+
+
+def _pinned_records() -> list:
+    """h_hat, g_hat, L_hat rows, transcript and resolved values of desk runs
+    at chi 5 and chi 1, seeds 0-29; a BOTTOM run records its transcript."""
+    records = []
+    for chi in (5, 1):
+        cfg = RegLearnConfig(**dict(DESK, chi=chi))
+        for seed in range(30):
+            try:
+                out = reg_learn(H_DESK, _sampler, cfg, seed=seed)
+            except RunFailure as failure:
+                records.append([chi, seed, failure.transcript])
+                continue
+            p = out.params
+            records.append([chi, seed, out.h_hat, out.g_hat, out.L_hat.hyps, out.transcript,
+                            [p.K, p.d, p.m, p.n0, p.n1, p.ell_prime, p.fat, p.overridden],
+                            [p.schedule.ell_bar, p.schedule.r_max, p.schedule.tau_max,
+                             p.schedule.chi]])
+    return records
+
+
+def test_reg_learn_outputs_are_pinned():
+    payload = json.dumps(_pinned_records(), separators=(",", ":")).encode()
+    assert hashlib.sha256(payload).hexdigest() == PINNED
 
 
 def test_excess_risk():
